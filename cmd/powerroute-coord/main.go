@@ -26,10 +26,6 @@
 // every shard's POST /v1/leases, so the sharded fleet's burst ledgers —
 // and its books — match an unsplit powerrouted byte for byte.
 //
-// With -spill the demand splitter reroutes a saturated region's overflow
-// to the cheapest reachable sibling region with open capacity, metered at
-// the clusters that serve it (deliberately not byte-comparable).
-//
 // Usage:
 //
 //	powerrouted -addr 127.0.0.1:7950 -threshold-km 1000 -shard-count 2 -shard-index 0 &
@@ -82,8 +78,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	delay := fs.Duration("reaction-delay", sim.DefaultReactionDelay, "lag between a price taking effect and the router seeing it")
 	batchSpec := fs.String("batch-spec", "", "deferrable batch class, matching every shard's -batch-spec (empty = no batch class)")
 	burstHubs := fs.String("burst-hubs", "", "coordinate the burst-exact clique world, matching every shard's -burst-hubs; the coordinator then brokers burst-token leases to the shards")
-	spill := fs.Bool("spill", false, "reroute a saturated region's demand overflow to the cheapest reachable sibling region (breaks byte-parity with an unsplit daemon)")
-	spillRadius := fs.Float64("spill-radius-km", 0, "bound on which sibling regions overflow may reach (0 = any sibling)")
 	mergeEvery := fs.Duration("merge-every", 10*time.Second, "how often to pull and merge shard checkpoints (0 = on demand only)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -186,12 +180,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		sc.Batch = cfg
 	}
 
-	co, err := coord.New(ctx, coord.Config{
-		Scenario:      sc,
-		ShardURLs:     urls,
-		Spill:         *spill,
-		SpillRadiusKm: *spillRadius,
-	})
+	co, err := coord.New(ctx, coord.Config{Scenario: sc, ShardURLs: urls})
 	if err != nil {
 		fmt.Fprintln(stderr, "powerroute-coord:", err)
 		return 1

@@ -19,13 +19,6 @@
 // can make — and posts the lease window to every shard's POST /v1/leases,
 // so the shards' burst ledgers replay exactly the joint engine's.
 //
-// Cross-shard spill (Config.Spill) is the opposite trade: when a region's
-// demand exceeds its serving capacity, the coordinator's demand splitter
-// reroutes the overflow to the cheapest reachable sibling region with
-// open capacity before splitting the row, metered at the clusters that
-// actually serve it. Spill changes assignments, so a spilling coordinator
-// is deliberately not byte-comparable with a joint engine run.
-//
 //	POST /v1/prices      forward a price vector or batch to every shard
 //	POST /v1/demand      split demand by state ownership and fan out
 //	GET  /v1/status      fleet-wide status from the last merged snapshot (?refresh=1 re-pulls)
@@ -43,14 +36,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"powerroute/internal/cluster"
-	"powerroute/internal/geo"
 	"powerroute/internal/routing"
 	"powerroute/internal/server"
 	"powerroute/internal/sim"
@@ -71,16 +61,6 @@ type Config struct {
 	ShardURLs []string
 	// Client overrides the HTTP client used to reach shards.
 	Client *http.Client
-
-	// Spill enables cross-shard demand spill: a region whose demand row
-	// exceeds its serving capacity has the overflow rerouted to the
-	// cheapest reachable sibling region with open capacity before the
-	// row is split, so it is metered at the clusters that serve it.
-	// Opt-in because spilled assignments diverge from a joint engine's.
-	Spill bool
-	// SpillRadiusKm bounds which sibling regions overflow may reach
-	// (minimum pairwise cluster distance). 0 means any sibling.
-	SpillRadiusKm float64
 }
 
 // shardInfo is one shard's discovered ownership.
@@ -105,16 +85,6 @@ type Coordinator struct {
 	// engine's), the input to every fleet-wide gate decision.
 	broker bool
 	room   float64
-
-	// Cross-shard spill state (Config.Spill): per-region serving
-	// capacity, the reachability mask, and the latest decision price per
-	// hub (tracked from the price feed to rank candidate receivers).
-	spill    bool
-	shardCap []float64
-	spillOK  [][]bool
-	spillMu  sync.Mutex
-	hubPrice map[string]float64 // guarded_by: spillMu
-	spilled  float64            // guarded_by: spillMu
 
 	// Cached merged snapshot, refreshed periodically (Run) or on demand.
 	mu   sync.Mutex
@@ -154,7 +124,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		fleet:     cfg.Scenario.Fleet,
 		worldHash: hash,
 		client:    client,
-		spill:     cfg.Spill,
 		requests:  make(map[string]uint64),
 	}
 	if cfg.Scenario.BurstGate != nil {
@@ -168,48 +137,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if err := co.discover(ctx, cfg.ShardURLs); err != nil {
 		return nil, err
 	}
-	if co.spill {
-		co.initSpill(cfg.SpillRadiusKm)
-	}
 	return co, nil
-}
-
-// initSpill precomputes each region's serving capacity and which
-// siblings its overflow may reach (minimum pairwise cluster distance
-// within radiusKm; 0 = any sibling).
-//
-//lint:held spillMu construction-time init, before the Coordinator is shared
-func (co *Coordinator) initSpill(radiusKm float64) {
-	n := len(co.shards)
-	co.shardCap = make([]float64, n)
-	for i, sh := range co.shards {
-		for _, c := range sh.clusters {
-			co.shardCap[i] += float64(co.fleet.Clusters[c].Capacity)
-		}
-	}
-	co.spillOK = make([][]bool, n)
-	co.hubPrice = make(map[string]float64)
-	for i := range co.spillOK {
-		co.spillOK[i] = make([]bool, n)
-		for j := range co.spillOK[i] {
-			if i == j {
-				continue
-			}
-			if radiusKm <= 0 {
-				co.spillOK[i][j] = true
-				continue
-			}
-			best := math.Inf(1)
-			for _, a := range co.shards[i].clusters {
-				for _, b := range co.shards[j].clusters {
-					if d := geo.Distance(co.fleet.Clusters[a].Location, co.fleet.Clusters[b].Location).Km(); d < best {
-						best = d
-					}
-				}
-			}
-			co.spillOK[i][j] = best <= radiusKm
-		}
-	}
 }
 
 // shardWorld is the slice of a shard's /v1/world the coordinator needs.
@@ -376,6 +304,24 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// Request body caps. maxPriceBody bounds a forwarded price post, which
+// the coordinator buffers whole to replay to every shard; maxDemandJSON
+// bounds a JSON demand post, one interval's per-state rates.
+const (
+	maxPriceBody  = 1 << 30
+	maxDemandJSON = 1 << 20
+)
+
+// bodyErrorCode maps a request-body read failure to its status: 413 when
+// the body ran past its MaxBytesReader cap, 400 otherwise.
+func bodyErrorCode(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -426,13 +372,10 @@ func (co *Coordinator) fanOut(ctx context.Context, path, contentType string, bod
 // to every shard. Each shard overlays the hubs it hosts and ignores the
 // rest, so no column surgery is needed on the price path.
 func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<30))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPriceBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading price post: %v", err)
+		httpError(w, bodyErrorCode(err), "reading price post: %v", err)
 		return
-	}
-	if co.spill {
-		co.trackPrices(r.Header.Get("Content-Type"), body)
 	}
 	bodies := make([][]byte, len(co.shards))
 	for i := range bodies {
@@ -489,8 +432,8 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var post demandPost
-	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding demand post: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDemandJSON)).Decode(&post); err != nil {
+		httpError(w, bodyErrorCode(err), "decoding demand post: %v", err)
 		return
 	}
 	if len(post.Rates) != len(co.fleet.States) {
@@ -508,9 +451,6 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadGateway, "%v", err)
 			return
 		}
-	}
-	if co.spill {
-		co.spillRow(post.Rates)
 	}
 	bodies := make([][]byte, len(co.shards))
 	for i, sh := range co.shards {
@@ -590,9 +530,6 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 		if gates != nil {
 			gates[i] = sim.BurstGateOpen(sim.SumDemand(row), co.room)
 		}
-		if co.spill {
-			co.spillRow(row)
-		}
 		for j, sh := range co.shards {
 			sub := subRows[j]
 			for k, s := range sh.states {
@@ -616,157 +553,6 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	writeJSON(w, map[string]any{"routed": h.Rows, "shards": len(co.shards)})
-}
-
-// --- cross-shard spill ------------------------------------------------------
-
-// spillRow reroutes overflow between regions in place: any region whose
-// share of the row exceeds its serving capacity sheds the excess to the
-// cheapest reachable sibling with open capacity (then the next cheapest,
-// and so on). The fleet-wide total is preserved — only the split moves —
-// and the receiving regions meter the spilled demand on their own
-// clusters. Returns the rerouted volume in hits/s.
-func (co *Coordinator) spillRow(row []float64) float64 {
-	totals := make([]float64, len(co.shards))
-	for i, sh := range co.shards {
-		for _, s := range sh.states {
-			totals[i] += row[s]
-		}
-	}
-	prices := co.regionPrices()
-	order := make([]int, len(co.shards))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return prices[order[a]] < prices[order[b]] })
-
-	var moved float64
-	for i := range co.shards {
-		over := totals[i] - co.shardCap[i]
-		if over <= 0 {
-			continue
-		}
-		var out float64
-		for _, j := range order {
-			if j == i || !co.spillOK[i][j] {
-				continue
-			}
-			open := co.shardCap[j] - totals[j]
-			if open <= 0 {
-				continue
-			}
-			take := math.Min(over-out, open)
-			if take <= 0 {
-				break
-			}
-			addProportional(row, co.shards[j].states, take)
-			totals[j] += take
-			out += take
-		}
-		if out > 0 {
-			// Shed the rerouted volume from the sender uniformly across
-			// its states, keeping its internal mix intact.
-			scale := (totals[i] - out) / totals[i]
-			for _, s := range co.shards[i].states {
-				row[s] *= scale
-			}
-			totals[i] -= out
-			moved += out
-		}
-	}
-	if moved > 0 {
-		co.spillMu.Lock()
-		co.spilled += moved
-		co.spillMu.Unlock()
-	}
-	return moved
-}
-
-// addProportional distributes amount over the given state columns in
-// proportion to their current values (evenly when all are zero), so the
-// receiving region's internal mix is preserved.
-func addProportional(row []float64, states []int, amount float64) {
-	var sum float64
-	for _, s := range states {
-		sum += row[s]
-	}
-	if sum <= 0 {
-		per := amount / float64(len(states))
-		for _, s := range states {
-			row[s] += per
-		}
-		return
-	}
-	for _, s := range states {
-		row[s] += amount * row[s] / sum
-	}
-}
-
-// regionPrices ranks regions by the mean of their clusters' latest hub
-// prices; a region with no price seen yet ranks last (+Inf), so overflow
-// never lands on a region whose cost is unknown while a priced one is
-// open.
-func (co *Coordinator) regionPrices() []float64 {
-	co.spillMu.Lock()
-	defer co.spillMu.Unlock()
-	prices := make([]float64, len(co.shards))
-	for i, sh := range co.shards {
-		var sum float64
-		n := 0
-		for _, c := range sh.clusters {
-			if v, ok := co.hubPrice[co.fleet.Clusters[c].HubID]; ok {
-				sum += v
-				n++
-			}
-		}
-		if n == 0 {
-			prices[i] = math.Inf(1)
-		} else {
-			prices[i] = sum / float64(n)
-		}
-	}
-	return prices
-}
-
-// trackPrices keeps the latest per-hub price from a forwarded price post
-// (the last row of a batch, or the vector of a JSON post) for spill
-// ranking. Malformed posts are ignored here — the shards reject them.
-func (co *Coordinator) trackPrices(contentType string, body []byte) {
-	latest := make(map[string]float64)
-	switch contentType {
-	case server.ContentTypePricesBatch:
-		br := bufio.NewReader(bytes.NewReader(body))
-		h, err := server.ParseBatchHeader(br)
-		if err != nil || h.Kind != "prices" || h.Rows == 0 || len(h.Hubs) != h.Cols {
-			return
-		}
-		rowBytes := make([]byte, 8*h.Cols)
-		row := make([]float64, h.Cols)
-		for i := 0; i < h.Rows; i++ {
-			if _, err := io.ReadFull(br, rowBytes); err != nil {
-				return
-			}
-		}
-		if err := server.DecodeRow(rowBytes, row); err != nil {
-			return
-		}
-		for j, hub := range h.Hubs {
-			latest[hub] = row[j]
-		}
-	default:
-		var post struct {
-			Prices map[string]float64 `json:"prices"`
-		}
-		if err := json.Unmarshal(body, &post); err != nil {
-			return
-		}
-		latest = post.Prices
-	}
-	co.spillMu.Lock()
-	for hub, v := range latest {
-		co.hubPrice[hub] = v
-	}
-	co.spillMu.Unlock()
 }
 
 // pullMerge fetches every shard's checkpoint and merges them into the
@@ -945,7 +731,6 @@ func (co *Coordinator) handleWorld(w http.ResponseWriter, r *http.Request) {
 		"world_hash":             co.worldHash,
 		"shards":                 co.Shards(),
 		"lease_broker":           co.broker,
-		"spill":                  co.spill,
 		"clusters":               clusters,
 		"states":                 states,
 	})
@@ -965,12 +750,5 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	co.reqMu.Unlock()
 	w.Header().Set("Content-Type", server.MetricsContentType)
-	text := server.MetricsText(co.fleet, snap, 0, requests)
-	if co.spill {
-		co.spillMu.Lock()
-		spilled := co.spilled
-		co.spillMu.Unlock()
-		text += fmt.Sprintf("# HELP powerroute_coord_spilled_hits_total Demand rerouted across regions by the spill splitter.\n# TYPE powerroute_coord_spilled_hits_total counter\npowerroute_coord_spilled_hits_total %g\n", spilled)
-	}
-	_, _ = w.Write([]byte(text))
+	_, _ = w.Write([]byte(server.MetricsText(co.fleet, snap, 0, requests)))
 }

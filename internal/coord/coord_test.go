@@ -5,8 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -454,61 +454,35 @@ func TestCoordinatorDegradedReads(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSpill: a demand row that saturates one region has its
-// overflow rerouted to the open sibling — totals preserved, sender capped
-// at capacity — and a tight spill radius keeps the overflow at home.
-func TestCoordinatorSpill(t *testing.T) {
+// TestCoordinatorBodyCaps: a JSON demand post past maxDemandJSON answers
+// 413 before anything fans out, and a read that overruns any
+// MaxBytesReader cap (the price path's included) maps to 413, not 400.
+func TestCoordinatorBodyCaps(t *testing.T) {
 	_, sc := testWorld(t)
-	urls := newShards(t, sc)
-	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Spill: true})
-	if err != nil {
-		t.Fatal(err)
+	co, _ := newCoordinator(t, sc, newShards(t, sc))
+	rates := append([]byte(`{"rates":[`), bytes.Repeat([]byte("0,"), maxDemandJSON/2)...)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"whitespace", append(bytes.Repeat([]byte(" "), maxDemandJSON+1), "{}"...)},
+		{"rates", append(rates, "0]}"...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, "/v1/demand", bytes.NewReader(tc.body))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			co.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%d-byte demand post: %d, want 413: %s", len(tc.body), rec.Code, rec.Body)
+			}
+		})
 	}
-
-	makeRow := func() ([]float64, float64) {
-		row := make([]float64, len(sc.Fleet.States))
-		want := 1.5 * co.shardCap[0]
-		per := want / float64(len(co.shards[0].states))
-		for _, s := range co.shards[0].states {
-			row[s] = per
-		}
-		return row, want
+	if code := bodyErrorCode(fmt.Errorf("reading: %w", &http.MaxBytesError{Limit: maxPriceBody})); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("wrapped MaxBytesError maps to %d, want 413", code)
 	}
-	sum := func(row []float64, states []int) float64 {
-		var v float64
-		for _, s := range states {
-			v += row[s]
-		}
-		return v
-	}
-
-	row, total := makeRow()
-	moved := co.spillRow(row)
-	// The rerouted volume is the sender's overflow, clipped to the
-	// receiver's open capacity.
-	if want := math.Min(0.5*co.shardCap[0], co.shardCap[1]); math.Abs(moved-want) > 1e-6*want {
-		t.Fatalf("moved %g, want %g", moved, want)
-	}
-	if got, want := sum(row, co.shards[0].states), total-moved; math.Abs(got-want) > 1e-6*want {
-		t.Fatalf("sender kept %g, want %g", got, want)
-	}
-	if got := sum(row, co.shards[1].states); math.Abs(got-moved) > 1e-6*moved {
-		t.Fatalf("receiver got %g, want the moved %g", got, moved)
-	}
-	fleetSum := sum(row, co.shards[0].states) + sum(row, co.shards[1].states)
-	if math.Abs(fleetSum-total) > 1e-6*total {
-		t.Fatalf("spill changed the fleet total: %g vs %g", fleetSum, total)
-	}
-
-	// The regions sit ~4000 km apart; a 100 km radius makes the sibling
-	// unreachable, so the overflow stays (and overloads) at home.
-	near, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Spill: true, SpillRadiusKm: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, _ = makeRow()
-	if moved := near.spillRow(row); moved != 0 {
-		t.Fatalf("100 km spill radius still moved %g across ~4000 km", moved)
+	if code := bodyErrorCode(io.ErrUnexpectedEOF); code != http.StatusBadRequest {
+		t.Errorf("truncated body maps to %d, want 400", code)
 	}
 }
 

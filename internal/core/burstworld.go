@@ -231,8 +231,8 @@ func (s *System) BurstWorld(pairs [][2]string, thresholdKm, priceThreshold float
 // BurstScenario assembles the joint hourly scenario over a burst world —
 // the exact configuration powerrouted, powerroute-coord, and tracegen
 // must share. The burst gate is left for the caller: sim.SelfGate for a
-// joint or in-process-parallel engine, a sim.LeaseStore for a shard
-// daemon fed by a lease broker.
+// joint engine, a sim.LeaseStore for a shard daemon fed by a lease
+// broker.
 func (s *System) BurstScenario(bw *BurstWorld, thresholdKm, priceThreshold float64, delay time.Duration) (sim.Scenario, error) {
 	opt, err := routing.NewPriceOptimizer(bw.Fleet, thresholdKm, priceThreshold)
 	if err != nil {

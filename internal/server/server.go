@@ -29,6 +29,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,35 +41,11 @@ import (
 	"powerroute/internal/sim"
 )
 
-// Engine is the incremental simulation surface the server drives: one
-// routing decision per Step, cheap snapshots for status endpoints, and a
-// durable checkpoint for the operator API. *sim.Engine is the
-// single-engine implementation; *sim.ParallelEngine runs the world's
-// routing-closed regions concurrently behind the same contract. Only
-// checkpoint *restore* is implementation-specific (see
-// handleCheckpointPut): a joint checkpoint cannot be split back into
-// shard engines, so PUT /v1/checkpoint requires a single engine.
-type Engine interface {
-	Fleet() *cluster.Fleet
-	StepSize() time.Duration
-	ReactionDelay() time.Duration
-	Start() time.Time
-	Next() time.Time
-	StepsRun() int
-	Step(at time.Time, prices sim.StepPrices, demand []float64) error
-	Snapshot() *sim.Snapshot
-	SnapshotInto(dst *sim.Snapshot) *sim.Snapshot
-	Assignments(dst [][]float64) [][]float64
-	WorldHash() string
-	Checkpoint() (*sim.Checkpoint, error)
-	Finalize() (*sim.Result, error)
-}
-
 // Config assembles a Server.
 type Config struct {
 	// Engine is the incremental simulation engine to serve. The server
 	// owns it after New; all further access must go through handlers.
-	Engine Engine
+	Engine *sim.Engine
 
 	// Leases, when non-nil, is the burst-token lease window the engine
 	// reads its fleet gate bits from: the daemon accepts POST /v1/leases
@@ -84,7 +61,7 @@ type Config struct {
 // annotations are enforced by powerroute-vet's lockcheck analyzer.
 type Server struct {
 	mu    sync.Mutex
-	eng   Engine        // guarded_by: mu
+	eng   *sim.Engine   // guarded_by: mu
 	snap  *sim.Snapshot // guarded_by: mu — reusable snapshot scratch; handlers extract what they render before unlocking
 	fleet *cluster.Fleet
 	step  time.Duration
@@ -191,6 +168,28 @@ func (s *Server) batchError(w http.ResponseWriter, code, routed int, format stri
 	})
 }
 
+// maxJSONBody caps the JSON bodies of POST /v1/prices, /v1/leases and
+// /v1/demand. The largest a feeder sends is a lease window as long as a
+// maximal demand batch: maxBatchRows gates of at most 6 bytes each.
+const maxJSONBody = 16 << 20
+
+// decodeJSON decodes a JSON request body capped at maxJSONBody. On
+// failure it answers the request itself — 413 for an oversized body, 400
+// for anything else — and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, what string, dst any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(dst)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "decoding %s: %v", what, err)
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -215,8 +214,7 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var post pricePost
-	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding price post: %v", err)
+	if !decodeJSON(w, r, "price post", &post) {
 		return
 	}
 	if post.At.IsZero() {
@@ -287,8 +285,7 @@ func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var post leasePost
-	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding lease post: %v", err)
+	if !decodeJSON(w, r, "lease post", &post) {
 		return
 	}
 	// Window-shape violations (gaps, rewinds) are ordering conflicts with
@@ -338,22 +335,10 @@ type jobPost struct {
 	MinFraction   float64 `json:"min_fraction"`
 }
 
-// jobQueuer is the optional engine capability behind job ingest. The
-// single-world sim.Engine implements it; the in-process parallel-shard
-// engine does not (jobs would need cross-shard ownership routing), so
-// job posts against it fail with a clear 400.
-type jobQueuer interface {
-	QueueJobs([]sched.Job) error
-}
-
 // queueJobs converts and enqueues one row's jobs under the engine lock.
 //
 //lint:held mu callers lock s.mu for the posting interval
 func (s *Server) queueJobs(jobs []jobPost) error {
-	jq, ok := s.eng.(jobQueuer)
-	if !ok {
-		return fmt.Errorf("server: this engine cannot accept batch jobs")
-	}
 	s.jobBuf = s.jobBuf[:0]
 	base := s.eng.StepsRun()
 	for i, j := range jobs {
@@ -372,7 +357,7 @@ func (s *Server) queueJobs(jobs []jobPost) error {
 			MinFraction: j.MinFraction,
 		})
 	}
-	return jq.QueueJobs(s.jobBuf)
+	return s.eng.QueueJobs(s.jobBuf)
 }
 
 func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
@@ -381,8 +366,7 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var post demandPost
-	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding demand post: %v", err)
+	if !decodeJSON(w, r, "demand post", &post) {
 		return
 	}
 	if oldest, ok := s.routeJSON(w, post); ok {
@@ -476,10 +460,6 @@ func (s *Server) handleDemandBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) routeBatchJobs(w http.ResponseWriter, br *bufio.Reader, h *BatchHeader) (oldest time.Time, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, isQueuer := s.eng.(jobQueuer); !isQueuer {
-		httpError(w, http.StatusBadRequest, "server: this engine cannot accept batch jobs")
-		return time.Time{}, false
-	}
 	if h.Cols != len(s.fleet.States) {
 		httpError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, len(s.fleet.States))
 		return time.Time{}, false
@@ -537,7 +517,7 @@ func (s *Server) routeBatchJobs(w http.ResponseWriter, br *bufio.Reader, h *Batc
 					MinFraction: wj.MinFraction,
 				})
 			}
-			if err := s.eng.(jobQueuer).QueueJobs(s.jobBuf); err != nil {
+			if err := s.eng.QueueJobs(s.jobBuf); err != nil {
 				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
 				return time.Time{}, false
 			}

@@ -556,6 +556,25 @@ func leaseServer(t *testing.T) (*httptest.Server, *core.System) {
 	return ts, sys
 }
 
+// TestJSONBodyCap: every JSON ingest endpoint stops reading at
+// maxJSONBody and answers 413, not 400, once the body runs past it. The
+// body is valid JSON whitespace up to the cap, so only its size can fail.
+func TestJSONBodyCap(t *testing.T) {
+	ts, _ := leaseServer(t)
+	oversized := append(bytes.Repeat([]byte(" "), maxJSONBody+1), "{}"...)
+	for _, path := range []string{"/v1/prices", "/v1/leases", "/v1/demand"} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(oversized))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			ts.Config.Handler.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("POST %s with a %d-byte body: %d, want 413: %s", path, len(oversized), rec.Code, rec.Body)
+			}
+		})
+	}
+}
+
 // TestLeaseBrokeredDaemon drives the shard-side half of the lease
 // protocol over HTTP: demand cannot route past the posted gate window,
 // windows extend contiguously (gaps conflict), and the lease state shows

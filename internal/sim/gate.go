@@ -174,20 +174,3 @@ func (ls *LeaseStore) Prune(below int) {
 		ls.base = below
 	}
 }
-
-// stepGate is the in-process broker behind ParallelEngine: the parent
-// computes the joint gate bit once per step (before fan-out) and every
-// shard worker reads it under the step command's happens-before edge.
-type stepGate struct {
-	step int
-	open bool
-}
-
-// GateOpen implements BurstGate for shard workers sharing the parent's
-// per-step bit.
-func (g *stepGate) GateOpen(step int, localDemand, localRoom float64) (bool, error) {
-	if step != g.step {
-		return false, fmt.Errorf("sim: parallel burst broker holds step %d, engine asked for %d", g.step, step)
-	}
-	return g.open, nil
-}

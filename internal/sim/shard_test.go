@@ -152,9 +152,34 @@ func TestShardMergeMatchesJointRun(t *testing.T) {
 			half := sc.Steps / 2
 			midEngines, _ := shardEngines(t, clonePolicy(t, sc), half)
 			midMerged := mergeThroughWire(t, midEngines)
+
+			// At the pause the merged checkpoint is bit-identical to a
+			// joint engine's at the same cursor, per-cluster distance
+			// histograms included (they scatter across the merge, no
+			// re-summation), and the restored engine reads back the
+			// joint engine's snapshot and assignment matrix exactly.
+			jointSc := clonePolicy(t, sc)
+			midJoint, err := NewEngine(jointSc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveSteps(t, midJoint, jointSc, half)
+			jcp, err := midJoint.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(jcp, midMerged) {
+				t.Fatalf("mid-run checkpoint differs:\njoint  %+v\nmerged %+v", jcp, midMerged)
+			}
 			resumed, err := Restore(clonePolicy(t, sc), midMerged)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if js, rs := midJoint.Snapshot(), resumed.Snapshot(); !reflect.DeepEqual(js, rs) {
+				t.Fatalf("mid-run snapshot differs:\njoint    %+v\nrestored %+v", js, rs)
+			}
+			if ja, ra := midJoint.Assignments(nil), resumed.Assignments(nil); !reflect.DeepEqual(ja, ra) {
+				t.Fatal("mid-run assignment matrices differ")
 			}
 			driveSteps(t, resumed, sc, sc.Steps-half)
 			got2, err := resumed.Finalize()
