@@ -34,6 +34,16 @@ func benchEnv(b *testing.B) *experiments.Env {
 	return env
 }
 
+// freshEnv returns an environment over the shared world with empty
+// result caches. core.System caches baselines and whole outcomes, so
+// reusing one environment across b.N would time cache hits after the
+// first iteration; each iteration takes a fresh one, built off the clock.
+func freshEnv(b *testing.B, env *experiments.Env) *experiments.Env {
+	b.StopTimer()
+	defer b.StartTimer()
+	return &experiments.Env{System: env.System.Fresh()}
+}
+
 // runFigure benchmarks one registered experiment.
 func runFigure(b *testing.B, id string) {
 	b.Helper()
@@ -44,7 +54,7 @@ func runFigure(b *testing.B, id string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := def.Run(env)
+		res, err := def.Run(freshEnv(b, env))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +89,7 @@ func BenchmarkFig15ElasticitySavings(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig15ElasticitySavings(env)
+		res, err := experiments.Fig15ElasticitySavings(freshEnv(b, env))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +138,7 @@ func benchRegistry(b *testing.B, parallel int) {
 	defer experiments.SetParallelism(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.RunAll(env, defs, parallel)
+		results, err := experiments.RunAll(freshEnv(b, env), defs, parallel)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,6 +33,9 @@
 //	powerroute-coord -addr 127.0.0.1:7946 -threshold-km 1000 \
 //	    -shards http://127.0.0.1:7950,http://127.0.0.1:7951
 //	tracegen -replay http://127.0.0.1:7946
+//
+// The coordinator's HTTP edge drops stalled and idle clients exactly as
+// powerrouted's does (server.NewHTTPServer).
 package main
 
 import (
@@ -41,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -54,6 +56,7 @@ import (
 	"powerroute/internal/energy"
 	"powerroute/internal/experiments"
 	"powerroute/internal/routing"
+	"powerroute/internal/server"
 	"powerroute/internal/sim"
 )
 
@@ -191,7 +194,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "powerroute-coord:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: co.Handler()}
+	httpSrv := server.NewHTTPServer(co.Handler())
 	fmt.Fprintf(stdout, "powerroute-coord: listening on %s, coordinating %d shards (policy %s, step %v)\n",
 		ln.Addr(), len(urls), sc.Policy.Name(), sc.Step)
 	for i, url := range urls {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -91,6 +94,8 @@ func startShards(t *testing.T) []string {
 // TestCoordServeAndShutdown boots the coordinator against two live shard
 // daemons, checks the fleet-wide world view, and shuts down gracefully.
 func TestCoordServeAndShutdown(t *testing.T) {
+	defer func(d time.Duration) { server.ReadHeaderTimeout = d }(server.ReadHeaderTimeout)
+	server.ReadHeaderTimeout = 200 * time.Millisecond
 	urls := startShards(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -137,6 +142,25 @@ func TestCoordServeAndShutdown(t *testing.T) {
 		if cl.Shard == "" {
 			t.Errorf("cluster %s has no owning shard", cl.Code)
 		}
+	}
+
+	// A slow-loris client — request line and one header, never the blank
+	// line ending the header — is dropped after the header timeout.
+	addr := strings.TrimPrefix(base, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "GET /healthz HTTP/1.1\r\nHost: %s\r\n", addr)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	n, err := conn.Read(make([]byte, 512))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("coordinator kept a stalled request header open for 10 s")
+	}
+	if err == nil {
+		t.Fatalf("coordinator answered a half-sent header with %d bytes", n)
 	}
 
 	cancel()

@@ -83,8 +83,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	err = experiments.RunStream(env, defs, *parallel, func(res *experiments.Result, took time.Duration) error {
-		fmt.Fprintf(stdout, "=== %s: %s ===\n", res.ID, res.Title)
-		fmt.Fprintln(stdout, res.Text)
+		writeResult(stdout, res)
 		if *timing {
 			fmt.Fprintf(stdout, "(%s took %v)\n\n", res.ID, took.Round(time.Millisecond))
 		}
@@ -95,6 +94,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// writeResult renders one experiment's block of the output.
+func writeResult(w io.Writer, res *experiments.Result) {
+	fmt.Fprintf(w, "=== %s: %s ===\n", res.ID, res.Title)
+	fmt.Fprintln(w, res.Text)
 }
 
 func usage(w io.Writer) {

@@ -16,6 +16,10 @@
 //	            [-shard-count N -shard-index I]
 //	            [-burst-hubs PAIR,PAIR,...]
 //
+// The HTTP edge drops a client that stalls its request header (10 s), its
+// whole request (2 min), or an idle keep-alive connection (2 min); see
+// server.NewHTTPServer.
+//
 // -burst-hubs replaces the derived world with the burst-exact clique
 // world (core.BurstWorld): each comma-separated hub pair becomes one
 // routing-closed region, soft caps are armed so the 95/5 burst gate
@@ -56,7 +60,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -276,7 +279,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "powerrouted:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := server.NewHTTPServer(srv.Handler())
 	fmt.Fprintf(stdout, "powerrouted: listening on %s (policy %s, step %v, %d clusters, %d states)\n",
 		ln.Addr(), sc.Policy.Name(), sc.Step, len(sc.Fleet.Clusters), len(sc.Fleet.States))
 

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"powerroute/internal/server"
 )
 
 // syncBuf is a goroutine-safe writer: run() logs from the serving
@@ -336,5 +341,40 @@ func TestShardBadInvocations(t *testing.T) {
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr %q)", argv, code, errOut.String())
 		}
+	}
+}
+
+// TestSlowLorisHeaderDropped: a client that sends a request line and a
+// header but never finishes the header is disconnected once the header
+// timeout passes, instead of holding its connection open.
+func TestSlowLorisHeaderDropped(t *testing.T) {
+	defer func(d time.Duration) { server.ReadHeaderTimeout = d }(server.ReadHeaderTimeout)
+	server.ReadHeaderTimeout = 200 * time.Millisecond
+	base, _, _, cancel, done := startDaemon(t)
+	addr := strings.TrimPrefix(base, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "GET /healthz HTTP/1.1\r\nHost: %s\r\n", addr)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	n, err := conn.Read(make([]byte, 512))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("daemon kept a stalled request header open for 10 s")
+	}
+	if err == nil {
+		t.Fatalf("daemon answered a half-sent header with %d bytes", n)
+	}
+	// The daemon still serves well-behaved clients.
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	cancel()
+	if code := <-done; code != 0 {
+		t.Fatalf("exit %d", code)
 	}
 }

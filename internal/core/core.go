@@ -6,9 +6,11 @@
 // A System owns one deterministic world (fixed seeds). Run executes a
 // cost experiment: an Akamai-like baseline plus a price-conscious optimizer
 // under the configured constraints, returning both results and the savings.
-// Sweeps reuse cached baselines, so calling Run in a loop over distance
-// thresholds or energy models (Figs 15–20) stays fast, and a System is safe
-// for concurrent use.
+// Sweeps reuse cached baselines, and Run caches whole outcomes by their
+// effective configuration, so figures that share sweep points (Figs 15–20
+// and the ablations) simulate each point once. Cached results are shared:
+// callers must treat them as read-only. A System is safe for concurrent
+// use.
 package core
 
 import (
@@ -75,6 +77,7 @@ type System struct {
 
 	baselines flightGroup[baselineKey, baselineVal]
 	statics   flightGroup[baselineKey, *StaticChoice]
+	outcomes  flightGroup[runKey, *Outcome]
 }
 
 type baselineKey struct {
@@ -123,6 +126,20 @@ func NewSystem(opts Options) (*System, error) {
 		Fleet:       fleet,
 		traceDemand: demand,
 	}, nil
+}
+
+// Fresh returns a System over the same immutable world (market, traces,
+// fleet) with empty baseline, static and outcome caches, so every
+// experiment it runs is simulated again. Benchmarks use it to time real
+// work instead of cache hits without paying for a world build.
+func (s *System) Fresh() *System {
+	return &System{
+		Market:      s.Market,
+		Trace:       s.Trace,
+		LongRun:     s.LongRun,
+		Fleet:       s.Fleet,
+		traceDemand: s.traceDemand,
+	}
 }
 
 // MustNewSystem is NewSystem for known-good options; it panics on error.
@@ -197,6 +214,30 @@ type RunConfig struct {
 	ReactImmediately bool
 }
 
+// runKey is a RunConfig with its defaults applied: two configs with equal
+// keys build identical scenarios (a 0 delay means the 1 h default; a $0
+// dead-band means $5 unless NoPriceThresholdDefault), so they share one
+// cached outcome.
+type runKey struct {
+	horizon        Horizon
+	energy         energy.Model
+	distanceKm     float64
+	priceThreshold float64
+	follow95       bool
+	delay          time.Duration
+}
+
+func (c RunConfig) key() runKey {
+	return runKey{
+		horizon:        c.Horizon,
+		energy:         c.Energy,
+		distanceKm:     c.DistanceThresholdKm,
+		priceThreshold: c.priceThreshold(),
+		follow95:       c.Follow95,
+		delay:          c.delay(),
+	}
+}
+
 func (c RunConfig) delay() time.Duration {
 	if c.ReactImmediately {
 		return 0
@@ -229,7 +270,21 @@ type Outcome struct {
 }
 
 // Run executes a price-optimizer experiment against the cached baseline.
+// Outcomes are cached by effective configuration with the same
+// single-flight semantics as Baseline: the returned Outcome is the
+// caller's own copy and echoes cfg, but its results and caps are shared
+// and must be treated as read-only.
 func (s *System) Run(cfg RunConfig) (*Outcome, error) {
+	out, err := s.outcomes.Do(cfg.key(), func() (*Outcome, error) { return s.run(cfg) })
+	if err != nil {
+		return nil, err
+	}
+	cp := *out
+	cp.Config = cfg
+	return &cp, nil
+}
+
+func (s *System) run(cfg RunConfig) (*Outcome, error) {
 	caps, base, err := s.Baseline(cfg.Horizon, cfg.Energy)
 	if err != nil {
 		return nil, err

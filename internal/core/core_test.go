@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"powerroute/internal/energy"
 )
@@ -228,5 +230,114 @@ func TestSystemDeterminism(t *testing.T) {
 	}
 	if oa.Savings != ob.Savings {
 		t.Errorf("same seed, different savings: %v vs %v", oa.Savings, ob.Savings)
+	}
+}
+
+func TestRunCachesEquivalentConfigs(t *testing.T) {
+	s := MustNewSystem(Options{Seed: 5, MarketMonths: 2, TraceDays: 4})
+	base := RunConfig{Horizon: LongRun39Months, Energy: energy.OptimisticFuture, DistanceThresholdKm: 1000}
+	first, err := s.Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each spelling names the same effective run as base.
+	spellings := []RunConfig{
+		base,
+		{Horizon: LongRun39Months, Energy: energy.OptimisticFuture, DistanceThresholdKm: 1000, ReactionDelay: time.Hour},
+		{Horizon: LongRun39Months, Energy: energy.OptimisticFuture, DistanceThresholdKm: 1000, PriceThresholdDollars: 5},
+		{Horizon: LongRun39Months, Energy: energy.OptimisticFuture, DistanceThresholdKm: 1000,
+			PriceThresholdDollars: 5, NoPriceThresholdDefault: true, ReactionDelay: time.Hour},
+	}
+	for i, cfg := range spellings {
+		out, err := s.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Optimized != first.Optimized || out.Baseline != first.Baseline {
+			t.Errorf("spelling %d ran again instead of sharing the cached outcome", i)
+		}
+		if out == first {
+			t.Errorf("spelling %d got the cached *Outcome itself, want a copy", i)
+		}
+		if out.Config != cfg {
+			t.Errorf("spelling %d: Config = %+v, want the caller's %+v", i, out.Config, cfg)
+		}
+		if out.Savings != first.Savings || out.NormalizedCost != first.NormalizedCost {
+			t.Errorf("spelling %d: savings %v/%v, want %v/%v", i, out.Savings, out.NormalizedCost, first.Savings, first.NormalizedCost)
+		}
+	}
+	// Configs that differ in effect are separate runs.
+	distinct := []RunConfig{
+		{Horizon: LongRun39Months, Energy: energy.OptimisticFuture, DistanceThresholdKm: 1000, ReactImmediately: true},
+		{Horizon: LongRun39Months, Energy: energy.OptimisticFuture, DistanceThresholdKm: 1000, NoPriceThresholdDefault: true},
+		{Horizon: LongRun39Months, Energy: energy.OptimisticFuture, DistanceThresholdKm: 1000, Follow95: true},
+		{Horizon: LongRun39Months, Energy: energy.OptimisticFuture, DistanceThresholdKm: 1500},
+		{Horizon: LongRun39Months, Energy: energy.CuttingEdge, DistanceThresholdKm: 1000},
+	}
+	for i, cfg := range distinct {
+		out, err := s.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Optimized == first.Optimized {
+			t.Errorf("distinct config %d shares the base outcome", i)
+		}
+	}
+}
+
+// TestRunCacheMatchesUncachedRun pins that a cache hit returns what a
+// fresh simulation of the same config computes.
+func TestRunCacheMatchesUncachedRun(t *testing.T) {
+	s := MustNewSystem(Options{Seed: 5, MarketMonths: 2, TraceDays: 4})
+	cfg := RunConfig{Horizon: LongRun39Months, Energy: energy.OptimisticFuture, DistanceThresholdKm: 800, Follow95: true}
+	if _, err := s.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := s.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := s.Fresh().Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Optimized == fresh.Optimized {
+		t.Fatal("Fresh shares the outcome cache")
+	}
+	if !reflect.DeepEqual(hit.Optimized, fresh.Optimized) || !reflect.DeepEqual(hit.Baseline, fresh.Baseline) {
+		t.Error("cached outcome differs from a fresh run")
+	}
+	if hit.Savings != fresh.Savings {
+		t.Errorf("savings %v cached, %v fresh", hit.Savings, fresh.Savings)
+	}
+}
+
+func TestRunConcurrentCallersShareOneResult(t *testing.T) {
+	s := MustNewSystem(Options{Seed: 5, MarketMonths: 2, TraceDays: 4})
+	var wg sync.WaitGroup
+	outs := make([]*Outcome, 8)
+	errs := make([]error, len(outs))
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cfg := RunConfig{Horizon: LongRun39Months, Energy: energy.OptimisticFuture, DistanceThresholdKm: 1200}
+			if i%2 == 1 {
+				cfg.ReactionDelay = time.Hour // an equivalent spelling
+			}
+			outs[i], errs[i] = s.Run(cfg)
+		}(i)
+	}
+	wg.Wait()
+	for i, out := range outs {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if out.Optimized != outs[0].Optimized {
+			t.Errorf("caller %d got a different result pointer", i)
+		}
+		if want := time.Duration(i%2) * time.Hour; out.Config.ReactionDelay != want {
+			t.Errorf("caller %d: Config.ReactionDelay = %v, want %v", i, out.Config.ReactionDelay, want)
+		}
 	}
 }

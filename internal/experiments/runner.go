@@ -94,9 +94,9 @@ func runTasks(tasks ...func() error) error {
 }
 
 // runConfigs executes a sweep of optimizer configurations concurrently and
-// returns the outcomes in input order. Concurrent entries that share a
-// (horizon, energy) pair dedupe their baseline through the System's
-// single-flight cache.
+// returns the outcomes in input order. Entries that share a (horizon,
+// energy) pair dedupe their baseline, and entries another figure already
+// ran reuse its outcome, through the System's single-flight caches.
 func runConfigs(sys *core.System, cfgs []core.RunConfig) ([]*core.Outcome, error) {
 	outs := make([]*core.Outcome, len(cfgs))
 	err := forEach(0, len(cfgs), func(i int) error {

@@ -21,6 +21,7 @@ type JointOptimizer struct {
 	fleet          fleetLike
 	distanceWeight float64
 	nearest        [][]int
+	dist           [][]float64 // dist[s][c], read once from the fleet
 
 	lastPrices []float64
 	orders     [][]int
@@ -44,8 +45,13 @@ func NewJointOptimizer(f fleetLike, distanceWeight float64) (*JointOptimizer, er
 		fleet:          f,
 		distanceWeight: distanceWeight,
 		nearest:        make([][]int, f.StateCount()),
+		dist:           make([][]float64, f.StateCount()),
 	}
 	for s := 0; s < f.StateCount(); s++ {
+		j.dist[s] = make([]float64, f.ClusterCount())
+		for c := range j.dist[s] {
+			j.dist[s][c] = f.Distance(s, c)
+		}
 		order := make([]int, f.ClusterCount())
 		for i := range order {
 			order[i] = i
@@ -107,19 +113,26 @@ func (j *JointOptimizer) refreshOrders(prices []float64) {
 		j.lastPrices = make([]float64, nc)
 		j.scores = make([]float64, nc)
 	}
+	scores := j.scores
 	for s := 0; s < ns; s++ {
-		order := j.orders[s]
+		order, dist := j.orders[s], j.dist[s]
 		for c := 0; c < nc; c++ {
 			order[c] = c
-			j.scores[c] = prices[c] + j.distanceWeight*j.fleet.Distance(s, c)
+			scores[c] = prices[c] + j.distanceWeight*dist[c]
 		}
-		scores := j.scores
-		sort.Slice(order, func(a, b int) bool {
-			if scores[order[a]] != scores[order[b]] {
-				return scores[order[a]] < scores[order[b]]
+		// Stable insertion sort by (score, distance): full ties keep
+		// cluster index order, the permutation sort.Slice gives for up to
+		// 12 elements, which every fleet here has.
+		for i := 1; i < nc; i++ {
+			c := order[i]
+			k := i - 1
+			for k >= 0 && (scores[c] < scores[order[k]] ||
+				(scores[c] == scores[order[k]] && dist[c] < dist[order[k]])) {
+				order[k+1] = order[k]
+				k--
 			}
-			return j.fleet.Distance(s, order[a]) < j.fleet.Distance(s, order[b])
-		})
+			order[k+1] = c
+		}
 	}
 	copy(j.lastPrices, prices)
 }

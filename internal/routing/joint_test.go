@@ -2,6 +2,9 @@ package routing
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -184,5 +187,110 @@ func TestJointOptimizerOrderCache(t *testing.T) {
 	}
 	if same {
 		t.Error("price change did not affect allocation")
+	}
+}
+
+// gridFleet is a fleetLike fixture with arbitrary distances.
+type gridFleet struct{ dist [][]float64 }
+
+func (g gridFleet) StateCount() int                     { return len(g.dist) }
+func (g gridFleet) ClusterCount() int                   { return len(g.dist[0]) }
+func (g gridFleet) Distance(state, cluster int) float64 { return g.dist[state][cluster] }
+
+// sortSliceOrders is the reference ranking refreshOrders replaced: a
+// sort.Slice per state with the same (score, distance) comparator.
+func sortSliceOrders(f fleetLike, w float64, prices []float64) [][]int {
+	ns, nc := f.StateCount(), f.ClusterCount()
+	orders := make([][]int, ns)
+	scores := make([]float64, nc)
+	for s := range orders {
+		order := make([]int, nc)
+		for c := range order {
+			order[c] = c
+			scores[c] = prices[c] + w*f.Distance(s, c)
+		}
+		sort.Slice(order, func(a, b int) bool {
+			if scores[order[a]] != scores[order[b]] {
+				return scores[order[a]] < scores[order[b]]
+			}
+			return f.Distance(s, order[a]) < f.Distance(s, order[b])
+		})
+		orders[s] = order
+	}
+	return orders
+}
+
+// TestJointOrdersMatchSortSlice pins the insertion-sort ranking to the
+// sort.Slice one it replaced, over fixtures whose coarse prices and
+// distances force tied scores (and fully tied score-and-distance pairs,
+// where only stability decides).
+func TestJointOrdersMatchSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 500; trial++ {
+		ns, nc := 1+rng.Intn(6), 1+rng.Intn(12)
+		f := gridFleet{dist: make([][]float64, ns)}
+		for s := range f.dist {
+			f.dist[s] = make([]float64, nc)
+			for c := range f.dist[s] {
+				f.dist[s][c] = 100 * float64(rng.Intn(4))
+			}
+		}
+		w := []float64{0, 0.01, 0.05}[rng.Intn(3)]
+		j, err := NewJointOptimizer(f, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prices := make([]float64, nc)
+		for c := range prices {
+			prices[c] = 20 + 5*float64(rng.Intn(3))
+		}
+		j.refreshOrders(prices)
+		want := sortSliceOrders(f, w, prices)
+		for s := range want {
+			if !slices.Equal(j.orders[s], want[s]) {
+				t.Fatalf("trial %d state %d: order %v, sort.Slice reference %v (prices %v, distances %v, w %v)",
+					trial, s, j.orders[s], want[s], prices, f.dist[s], w)
+			}
+		}
+	}
+	// The real fleet, across real-looking price vectors.
+	fleet := testFleet(t)
+	j, _ := NewJointOptimizer(fleet, 0.02)
+	prices := make([]float64, len(fleet.Clusters))
+	for trial := 0; trial < 50; trial++ {
+		for c := range prices {
+			prices[c] = 30 + 10*float64(rng.Intn(5))
+		}
+		j.refreshOrders(prices)
+		want := sortSliceOrders(fleet, 0.02, prices)
+		for s := range want {
+			if !slices.Equal(j.orders[s], want[s]) {
+				t.Fatalf("fleet trial %d state %d: order %v, want %v", trial, s, j.orders[s], want[s])
+			}
+		}
+	}
+}
+
+// BenchmarkJointRefresh measures one re-ranking of every state's score
+// order (51 states onto 9 clusters) after a price change.
+func BenchmarkJointRefresh(b *testing.B) {
+	f := testFleet(b)
+	j, err := NewJointOptimizer(f, 0.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	sets := make([][]float64, 64)
+	for i := range sets {
+		sets[i] = make([]float64, len(f.Clusters))
+		for c := range sets[i] {
+			sets[i][c] = 20 + 60*rng.Float64()
+		}
+	}
+	j.refreshOrders(sets[len(sets)-1]) // allocate the order tables off the clock
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.refreshOrders(sets[i%len(sets)])
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // testFleet builds the standard nine-cluster fleet with uniform state peaks.
-func testFleet(t *testing.T) *cluster.Fleet {
+func testFleet(t testing.TB) *cluster.Fleet {
 	t.Helper()
 	peaks := make([]float64, 51)
 	for i := range peaks {

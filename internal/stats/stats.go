@@ -11,6 +11,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -151,33 +152,130 @@ func TrimmedSummary(xs []float64, frac float64) Summary {
 
 // Quantile returns the q-th quantile of xs (0 ≤ q ≤ 1) using linear
 // interpolation between order statistics. It returns an error for an empty
-// sample; q is clamped to [0,1].
+// sample; q is clamped to [0,1]. NaNs order first, as in sort.Float64s.
+//
+// Only the two order statistics around q·(n−1) are needed, so Quantile
+// selects them in expected linear time instead of sorting: the lower one
+// by quickselect, the upper one as the least element above it. The result
+// equals Quantiles(xs, q)[0]: the same order statistics and the same
+// interpolation. (Where signed zeros or NaN payloads tie, the chosen
+// element may differ in sign or payload, never in value.)
 func Quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
+	buf := append([]float64(nil), xs...)
+	pos, lo, hi := quantileRank(len(buf), q)
+	selectNth(buf, lo)
+	if lo == hi {
+		return buf[lo], nil
+	}
+	// The upper neighbor is the least element after lo. Were any of them
+	// NaN, buf[lo] would be NaN too and so would the result, so plain <
+	// suffices.
+	next := buf[lo+1]
+	for _, x := range buf[lo+2:] {
+		if x < next {
+			next = x
+		}
+	}
+	return lerp(buf[lo], next, pos-float64(lo)), nil
 }
 
-// quantileSorted computes the interpolated quantile of an already-sorted
-// non-empty slice.
-func quantileSorted(sorted []float64, q float64) float64 {
+// quantileRank clamps q to [0,1] and returns its fractional rank
+// q·(n−1) in a sample of n, with the order statistics on either side.
+func quantileRank(n int, q float64) (pos float64, lo, hi int) {
 	if q < 0 {
 		q = 0
 	}
 	if q > 1 {
 		q = 1
 	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	pos = q * float64(n-1)
+	return pos, int(math.Floor(pos)), int(math.Ceil(pos))
+}
+
+// lerp interpolates linearly from a (w = 0) to b (w = 1).
+func lerp(a, b, w float64) float64 { return a*(1-w) + b*w }
+
+// selectNth reorders a so that a[k] holds the element sort.Float64s would
+// put there, with a[:k] ordered no later and a[k+1:] no earlier.
+func selectNth(a []float64, k int) {
+	// NaNs order first: gather them at the front, then select among the
+	// numbers with plain comparisons.
+	nan := 0
+	for i, x := range a {
+		if x != x {
+			a[i], a[nan] = a[nan], x
+			nan++
+		}
+	}
+	if k < nan {
+		return
+	}
+	quickselect(a[nan:], k-nan, 2*bits.Len(uint(len(a))))
+}
+
+// quickselect is selectNth for a NaN-free slice: Hoare-style partitioning
+// around a median-of-three pivot. Ties split on both sides, so runs of
+// equal samples stay linear; after budget rounds, adversarial inputs fall
+// back to sorting what is left.
+func quickselect(a []float64, k, budget int) {
+	lo, hi := 0, len(a)-1
+	for ; lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo : hi+1])
+			return
+		}
+		pivot := median3(a[lo], a[lo+(hi-lo)/2], a[hi])
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// Now a[lo:j+1] ≤ pivot, a[i:hi+1] ≥ pivot, and anything between
+		// equals pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// quantileSorted computes the interpolated quantile of an already-sorted
+// non-empty slice.
+func quantileSorted(sorted []float64, q float64) float64 {
+	pos, lo, hi := quantileRank(len(sorted), q)
 	if lo == hi {
 		return sorted[lo]
 	}
-	w := pos - float64(lo)
-	return sorted[lo]*(1-w) + sorted[hi]*w
+	return lerp(sorted[lo], sorted[hi], pos-float64(lo))
 }
 
 // Quantiles returns several quantiles of xs in one sort.

