@@ -8,5 +8,5 @@ import (
 )
 
 func TestCkptfield(t *testing.T) {
-	analysistest.Run(t, "testdata", ckptfield.Analyzer, "engine", "queue")
+	analysistest.Run(t, "testdata", ckptfield.Analyzer, "engine", "queue", "component")
 }

@@ -30,6 +30,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -200,30 +201,11 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		States:        e.ns,
 		ClusterCodes:  make([]string, e.nc),
 		StateCodes:    make([]string, e.ns),
-		ClusterIndex:  append([]int(nil), e.sc.shardClusters...),
-		StateIndex:    append([]int(nil), e.sc.shardStates...),
+		ClusterIndex:  clone(e.sc.shardClusters),
+		StateIndex:    clone(e.sc.shardStates),
 		StepsRun:      e.stepsRun,
 		LastAt:        e.lastAt,
-		Totals: Totals{
-			ClusterCost:        append([]units.Money(nil), e.res.ClusterCost...),
-			ClusterEnergy:      append([]units.Energy(nil), e.res.ClusterEnergy...),
-			PeakRate:           append([]float64(nil), e.res.PeakRate...),
-			MeanUtilizationSum: append([]float64(nil), e.res.MeanUtilization...),
-			OverloadSec:        append([]float64(nil), e.overloadSec...),
-			StorageBoughtKWh:   append([]float64(nil), e.storageBought...),
-			StorageServedKWh:   append([]float64(nil), e.storageServed...),
-			ClusterCarbonKg:    append([]float64(nil), e.res.ClusterCarbonKg...),
-			BatchServedKWh:     append([]float64(nil), e.batchServed...),
-			BatchShedKWh:       append([]float64(nil), e.batchShed...),
-			BatchDeferredKWh:   append([]float64(nil), e.batchDeferred...),
-		},
-		MeterSamples: make([][]float64, e.nc),
-		DistHists:    make([]*stats.WeightedHistogram, e.nc),
-		Loads:        append([]float64(nil), e.loads...),
-		Assign:       make([][]float64, e.ns),
-	}
-	for c, h := range e.distHists {
-		cp.DistHists[c] = h.Clone()
+		Assign:        states(e.assign, clone[float64]),
 	}
 	for c, cl := range e.sc.Fleet.Clusters {
 		cp.ClusterCodes[c] = cl.Code
@@ -231,37 +213,9 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	for s, st := range e.sc.Fleet.States {
 		cp.StateCodes[s] = st.Code
 	}
-	for c := range e.meters {
-		cp.MeterSamples[c] = e.meters[c].Samples()
-	}
-	for s := range e.assign {
-		cp.Assign[s] = append([]float64(nil), e.assign[s]...)
-	}
-	if e.constraints != nil {
-		cp.Constraints = make([]billing.ConstraintState, e.nc)
-		for c, con := range e.constraints {
-			cp.Constraints[c] = con.State()
-		}
-	}
-	if e.batteries != nil {
-		cp.Batteries = make([]storage.Snapshot, e.nc)
-		for c, b := range e.batteries {
-			cp.Batteries[c] = b.Snapshot()
-		}
-	}
-	if e.demandMeters != nil {
-		cp.DemandMeters = make([]billing.DemandMeterState, e.nc)
-		for c, m := range e.demandMeters {
-			cp.DemandMeters[c] = m.State()
-		}
-	}
-	if e.sched != nil {
-		cp.BatchQueues = e.sched.State()
-	}
-	if e.leases != nil {
-		cp.BurstLeases = make([]billing.LeaseLedgerState, e.nc)
-		for c, l := range e.leases {
-			cp.BurstLeases[c] = l.State()
+	for _, k := range components {
+		if k.present(e) {
+			k.Checkpoint(e, cp)
 		}
 	}
 	return cp, nil
@@ -318,7 +272,7 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 	if cp.ShardOf != e.sc.shardOf {
 		return fmt.Errorf("checkpoint shard parent %q, scenario's is %q", cp.ShardOf, e.sc.shardOf)
 	}
-	if !equalInts(cp.ClusterIndex, e.sc.shardClusters) || !equalInts(cp.StateIndex, e.sc.shardStates) {
+	if !slices.Equal(cp.ClusterIndex, e.sc.shardClusters) || !slices.Equal(cp.StateIndex, e.sc.shardStates) {
 		return errors.New("checkpoint shard positions differ from the scenario's partition")
 	}
 	if cp.StepsRun < 0 {
@@ -339,12 +293,10 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 		}
 	}
 
-	// Per-cluster vectors, checked in fixed order so a multi-section
+	// Per-cluster sections are checked in table order, so a multi-section
 	// mismatch always reports the same error text.
-	for _, sec := range perClusterSections(cp) {
-		if sec.n != e.nc {
-			return fmt.Errorf("checkpoint has %d %s for %d clusters", sec.n, sec.name, e.nc)
-		}
+	if err := checkSizes(cp, e.nc, false); err != nil {
+		return fmt.Errorf("checkpoint has %w", err)
 	}
 	for c, samples := range cp.MeterSamples {
 		if len(samples) != cp.StepsRun {
@@ -359,71 +311,15 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 			return fmt.Errorf("assignment row %d has %d clusters, want %d", s, len(row), e.nc)
 		}
 	}
-
-	// Optional subsystems must match the scenario's configuration exactly.
-	if (e.constraints != nil) != (len(cp.Constraints) > 0) {
-		return fmt.Errorf("scenario 95/5 constraints %v, checkpoint carries %d constraint states",
-			e.constraints != nil, len(cp.Constraints))
-	}
-	if e.constraints != nil && len(cp.Constraints) != e.nc {
-		return fmt.Errorf("checkpoint has %d constraint states for %d clusters", len(cp.Constraints), e.nc)
-	}
-	if (e.batteries != nil) != (len(cp.Batteries) > 0) {
-		return fmt.Errorf("scenario storage %v, checkpoint carries %d battery snapshots",
-			e.batteries != nil, len(cp.Batteries))
-	}
-	if e.batteries != nil && len(cp.Batteries) != e.nc {
-		return fmt.Errorf("checkpoint has %d battery snapshots for %d clusters", len(cp.Batteries), e.nc)
-	}
-	if e.batteries != nil && (len(cp.Totals.StorageBoughtKWh) != e.nc || len(cp.Totals.StorageServedKWh) != e.nc) {
-		return fmt.Errorf("checkpoint has %d/%d storage total ledgers for %d clusters",
-			len(cp.Totals.StorageBoughtKWh), len(cp.Totals.StorageServedKWh), e.nc)
-	}
-	if e.batteries == nil && (len(cp.Totals.StorageBoughtKWh) > 0 || len(cp.Totals.StorageServedKWh) > 0) {
-		return errors.New("checkpoint carries storage totals the scenario does not configure")
-	}
-	if (e.demandMeters != nil) != (len(cp.DemandMeters) > 0) {
-		return fmt.Errorf("scenario demand-charge metering %v, checkpoint carries %d demand meters",
-			e.demandMeters != nil, len(cp.DemandMeters))
-	}
-	if e.demandMeters != nil && len(cp.DemandMeters) != e.nc {
-		return fmt.Errorf("checkpoint has %d demand meters for %d clusters", len(cp.DemandMeters), e.nc)
-	}
-	if (e.sched != nil) != (len(cp.BatchQueues) > 0) {
-		return fmt.Errorf("scenario batch class %v, checkpoint carries %d batch queues",
-			e.sched != nil, len(cp.BatchQueues))
-	}
-	if e.sched != nil && len(cp.BatchQueues) != e.nc {
-		return fmt.Errorf("checkpoint has %d batch queues for %d clusters", len(cp.BatchQueues), e.nc)
-	}
-	if e.sched != nil && (len(cp.Totals.BatchServedKWh) != e.nc || len(cp.Totals.BatchShedKWh) != e.nc || len(cp.Totals.BatchDeferredKWh) != e.nc) {
-		return fmt.Errorf("checkpoint has %d/%d/%d batch ledgers for %d clusters",
-			len(cp.Totals.BatchServedKWh), len(cp.Totals.BatchShedKWh), len(cp.Totals.BatchDeferredKWh), e.nc)
-	}
-	if e.sched == nil && (len(cp.Totals.BatchServedKWh) > 0 || len(cp.Totals.BatchShedKWh) > 0 || len(cp.Totals.BatchDeferredKWh) > 0) {
-		return errors.New("checkpoint carries batch ledgers the scenario does not configure")
-	}
-	if (e.leases != nil) != (len(cp.BurstLeases) > 0) {
-		return fmt.Errorf("scenario burst gate %v, checkpoint carries %d burst lease ledgers",
-			e.leases != nil, len(cp.BurstLeases))
-	}
-	if e.leases != nil && len(cp.BurstLeases) != e.nc {
-		return fmt.Errorf("checkpoint has %d burst lease ledgers for %d clusters", len(cp.BurstLeases), e.nc)
-	}
-	if (e.res.ClusterCarbonKg != nil) != (len(cp.Totals.ClusterCarbonKg) > 0) && cp.StepsRun > 0 {
-		// Carbon totals can be legitimately absent at step 0 (all zeros).
-		if e.res.ClusterCarbonKg != nil {
-			return errors.New("scenario meters carbon but checkpoint has no carbon ledger")
+	// Optional components must match the scenario's configuration exactly.
+	for _, k := range components {
+		if err := k.check(k.present(e), e.nc, cp); err != nil {
+			return err
 		}
-		return errors.New("checkpoint carries a carbon ledger the scenario does not meter")
-	}
-	if len(cp.Totals.ClusterCarbonKg) > 0 && len(cp.Totals.ClusterCarbonKg) != e.nc {
-		return fmt.Errorf("checkpoint has %d carbon ledgers for %d clusters", len(cp.Totals.ClusterCarbonKg), e.nc)
 	}
 
 	// Distance histogram geometry must match the engine's fixed layout,
-	// cluster by cluster (the count itself is a mandatory per-cluster
-	// section checked above).
+	// cluster by cluster.
 	for c, h := range cp.DistHists {
 		if h == nil {
 			return fmt.Errorf("checkpoint missing cluster %d distance histogram", c)
@@ -436,110 +332,20 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 		}
 	}
 
-	// Validation done — apply. Order mirrors NewEngine's construction.
-	for c, con := range e.constraints {
-		if cp.Constraints[c].IntervalsRun != cp.StepsRun {
-			return fmt.Errorf("cluster %d constraint ran %d intervals, checkpoint at step %d",
-				c, cp.Constraints[c].IntervalsRun, cp.StepsRun)
-		}
-		if err := con.RestoreState(cp.Constraints[c]); err != nil {
-			return fmt.Errorf("cluster %d: %w", c, err)
+	// Validation done — apply.
+	for _, k := range components {
+		if k.present(e) {
+			if err := k.loadCheckpoint(e, cp); err != nil {
+				return err
+			}
 		}
 	}
-	for c, b := range e.batteries {
-		if err := b.RestoreSnapshot(cp.Batteries[c]); err != nil {
-			return fmt.Errorf("cluster %d: %w", c, err)
-		}
-	}
-	for c, m := range e.demandMeters {
-		if err := m.RestoreState(cp.DemandMeters[c]); err != nil {
-			return fmt.Errorf("cluster %d: %w", c, err)
-		}
-	}
-	if e.sched != nil {
-		if err := e.sched.RestoreState(cp.BatchQueues, cp.StepsRun); err != nil {
-			return err
-		}
-	}
-	for c, l := range e.leases {
-		if err := l.RestoreState(cp.BurstLeases[c]); err != nil {
-			return fmt.Errorf("cluster %d: %w", c, err)
-		}
-	}
-	for c := range e.meters {
-		e.meters[c].RestoreSamples(cp.MeterSamples[c])
-		// RestoreSamples copies at exact capacity; re-reserve the horizon so
-		// the remaining steps record without reallocating.
-		e.meters[c].Reserve(e.sc.Steps)
-	}
-	for c, h := range cp.DistHists {
-		e.distHists[c] = h.Clone()
-	}
-	copy(e.loads, cp.Loads)
 	for s := range e.assign {
 		copy(e.assign[s], cp.Assign[s])
 	}
-
-	res := e.res
-	copy(res.ClusterCost, cp.Totals.ClusterCost)
-	copy(res.ClusterEnergy, cp.Totals.ClusterEnergy)
-	copy(res.PeakRate, cp.Totals.PeakRate)
-	copy(res.MeanUtilization, cp.Totals.MeanUtilizationSum)
-	copy(e.overloadSec, cp.Totals.OverloadSec)
-	if e.batteries != nil {
-		copy(e.storageBought, cp.Totals.StorageBoughtKWh)
-		copy(e.storageServed, cp.Totals.StorageServedKWh)
-	}
-	if res.ClusterCarbonKg != nil && len(cp.Totals.ClusterCarbonKg) == e.nc {
-		copy(res.ClusterCarbonKg, cp.Totals.ClusterCarbonKg)
-	}
-	if e.sched != nil {
-		copy(e.batchServed, cp.Totals.BatchServedKWh)
-		copy(e.batchShed, cp.Totals.BatchShedKWh)
-		copy(e.batchDeferred, cp.Totals.BatchDeferredKWh)
-	}
-
 	e.stepsRun = cp.StepsRun
 	e.lastAt = cp.LastAt
 	return nil
-}
-
-// equalInts reports whether a and b hold the same values (nil equals nil
-// and the empty slice).
-// section names one checkpoint section and carries its length; the
-// validators walk sections as fixed slices, in declaration order, so a
-// checkpoint with several wrong-sized sections always fails with the
-// same error text (a map range here would pick one at random per run).
-type section struct {
-	name string
-	n    int
-}
-
-// perClusterSections lists the mandatory per-cluster vectors in the
-// order validation reports them.
-func perClusterSections(cp *Checkpoint) []section {
-	return []section{
-		{"cluster costs", len(cp.Totals.ClusterCost)},
-		{"cluster energies", len(cp.Totals.ClusterEnergy)},
-		{"peak rates", len(cp.Totals.PeakRate)},
-		{"utilization sums", len(cp.Totals.MeanUtilizationSum)},
-		{"overload ledgers", len(cp.Totals.OverloadSec)},
-		{"meter sample lists", len(cp.MeterSamples)},
-		{"last-interval rates", len(cp.Loads)},
-		{"distance histograms", len(cp.DistHists)},
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // WorldHash returns a SHA-256 digest ("sha256:…") over everything that
@@ -707,15 +513,13 @@ func (cp *Checkpoint) Encode(w io.Writer) error {
 		StepsRun:      cp.StepsRun,
 		LastAt:        cp.LastAt,
 		Totals:        cp.Totals,
-		Constraints:   cp.Constraints,
-		Batteries:     cp.Batteries,
-		DemandMeters:  cp.DemandMeters,
-		BatchQueues:   cp.BatchQueues,
-		BurstLeases:   cp.BurstLeases,
 		HistBytes:     histBytes,
 		MeterSamples:  counts,
 		PayloadBytes:  int64(len(payload)),
 		PayloadSHA256: hex.EncodeToString(digest[:]),
+	}
+	for _, k := range components {
+		k.Encode(cp, &env)
 	}
 	envJSON, err := json.Marshal(env)
 	if err != nil {
@@ -843,53 +647,6 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: checkpoint payload digest %s does not match declared %s (corrupt file)", got, env.PayloadSHA256)
 	}
 
-	// The envelope's optional sections use omitempty, so an empty slice in
-	// a hand-crafted file would not survive a re-encode; normalize to nil
-	// (absent) so decode(encode(decode(x))) is a fixed point.
-	if len(env.Constraints) == 0 {
-		env.Constraints = nil
-	}
-	if len(env.Batteries) == 0 {
-		env.Batteries = nil
-	}
-	if len(env.DemandMeters) == 0 {
-		env.DemandMeters = nil
-	}
-	if len(env.BatchQueues) == 0 {
-		env.BatchQueues = nil
-	}
-	for i := range env.BatchQueues {
-		if len(env.BatchQueues[i].Jobs) == 0 {
-			env.BatchQueues[i].Jobs = nil
-		}
-	}
-	if len(env.Totals.BatchServedKWh) == 0 {
-		env.Totals.BatchServedKWh = nil
-	}
-	if len(env.Totals.BatchShedKWh) == 0 {
-		env.Totals.BatchShedKWh = nil
-	}
-	if len(env.Totals.BatchDeferredKWh) == 0 {
-		env.Totals.BatchDeferredKWh = nil
-	}
-	if len(env.Totals.ClusterCarbonKg) == 0 {
-		env.Totals.ClusterCarbonKg = nil
-	}
-	if len(env.Totals.StorageBoughtKWh) == 0 {
-		env.Totals.StorageBoughtKWh = nil
-	}
-	if len(env.Totals.StorageServedKWh) == 0 {
-		env.Totals.StorageServedKWh = nil
-	}
-	if len(env.ClusterIndex) == 0 {
-		env.ClusterIndex = nil
-	}
-	if len(env.StateIndex) == 0 {
-		env.StateIndex = nil
-	}
-	if len(env.BurstLeases) == 0 {
-		env.BurstLeases = nil
-	}
 	cp := &Checkpoint{
 		Version:       env.Version,
 		WorldHash:     env.WorldHash,
@@ -902,16 +659,18 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		States:        env.States,
 		ClusterCodes:  env.ClusterCodes,
 		StateCodes:    env.StateCodes,
-		ClusterIndex:  env.ClusterIndex,
-		StateIndex:    env.StateIndex,
+		ClusterIndex:  orNil(env.ClusterIndex),
+		StateIndex:    orNil(env.StateIndex),
 		StepsRun:      env.StepsRun,
 		LastAt:        env.LastAt,
 		Totals:        env.Totals,
-		Constraints:   env.Constraints,
-		Batteries:     env.Batteries,
-		DemandMeters:  env.DemandMeters,
-		BatchQueues:   env.BatchQueues,
-		BurstLeases:   env.BurstLeases,
+	}
+	// The envelope's optional sections use omitempty, so an empty slice in
+	// a hand-crafted file would not survive a re-encode; the components
+	// normalize theirs to nil (absent) so decode(encode(decode(x))) is a
+	// fixed point.
+	for _, k := range components {
+		k.DecodeCheckpoint(&env, cp)
 	}
 	off := 0
 	take := func(n int) []byte {
@@ -926,10 +685,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 			return nil, fmt.Errorf("sim: decoding cluster %d distance histogram: %w", c, err)
 		}
 	}
-	cp.MeterSamples = make([][]float64, env.Clusters)
-	for c, cnt := range env.MeterSamples {
-		cp.MeterSamples[c] = readFloats(take(8*cnt), cnt)
-	}
+	cp.MeterSamples = states(env.MeterSamples, func(n int) []float64 { return readFloats(take(8*n), n) })
 	cp.Loads = readFloats(take(8*env.Clusters), env.Clusters)
 	cp.Assign = make([][]float64, env.States)
 	for s := range cp.Assign {

@@ -9,7 +9,9 @@ import (
 // FuzzDecodeCheckpoint hammers the checkpoint decoder with arbitrary
 // bytes. The decoder must never panic or over-allocate, and anything it
 // does accept must re-encode and re-decode to the same value (a decoded
-// checkpoint is always a well-formed one).
+// checkpoint is always a well-formed one). An accepted shard checkpoint,
+// merged on its own, must yield a result or an error, never a panic: the
+// coordinator merges decoded shard responses directly.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	// Seed from two scenario families: "storage" covers the battery and
 	// demand-meter sections, "batch" covers the scheduler queue sections
@@ -29,6 +31,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			f.Add(mutated)
 		}
 	}
+	f.Add(orphanBatteriesCheckpoint(f))
 	f.Add([]byte("powerroute-checkpoint v1\n{}\n"))
 	f.Add([]byte("powerroute-checkpoint v2\n{}\n"))
 	f.Add([]byte("powerroute-checkpoint v3\n"))
@@ -50,5 +53,31 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if !reflect.DeepEqual(cp, again) {
 			t.Fatal("decode(encode(decode(data))) != decode(data)")
 		}
+		if cp.ShardOf != "" {
+			_, _ = MergeCheckpoints([]*Checkpoint{cp})
+		}
 	})
+}
+
+// orphanBatteriesCheckpoint encodes a shard checkpoint that carries
+// battery snapshots without the storage ledgers that belong to them,
+// renumbered to fleet positions 0..n-1 so that it merges on its own.
+func orphanBatteriesCheckpoint(t testing.TB) []byte {
+	engines, _ := shardEngines(t, allSectionsScenario(t), 7)
+	cp, err := engines[0].Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	partialComponents["battery snapshots"](cp)
+	for j := range cp.ClusterIndex {
+		cp.ClusterIndex[j] = j
+	}
+	for s := range cp.StateIndex {
+		cp.StateIndex[s] = s
+	}
+	var buf bytes.Buffer
+	if err := cp.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -45,7 +45,9 @@ type StepPrices struct {
 //
 // Every field is per-run state unless annotated otherwise: ckptfield
 // (cmd/powerroute-vet) verifies each one is referenced by Checkpoint and
-// loadCheckpoint, so a new field cannot silently escape the checkpoint.
+// loadCheckpoint — the engine's own or the same-named role methods of
+// the per-cluster components (component.go) — so a new field cannot
+// silently escape the checkpoint.
 //
 // ckpt:state Checkpoint,loadCheckpoint
 type Engine struct {

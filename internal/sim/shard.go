@@ -22,13 +22,9 @@ import (
 	"sort"
 	"time"
 
-	"powerroute/internal/billing"
 	"powerroute/internal/routing"
-	"powerroute/internal/sched"
-	"powerroute/internal/stats"
 	"powerroute/internal/storage"
 	"powerroute/internal/timeseries"
-	"powerroute/internal/units"
 )
 
 // ShardPartition assigns every cluster and every client state of a fleet
@@ -195,28 +191,19 @@ func (sc Scenario) Shard(p ShardPartition) ([]Scenario, error) {
 		sub.Fleet = subFleet
 		sub.Policy = subPolicy
 		sub.Demand = &subsetDemand{src: sc.Demand, idx: states}
-		if sc.SoftCaps != nil {
-			sub.SoftCaps = pickFloats(sc.SoftCaps, clusters)
-		}
-		if sc.DecisionSeries != nil {
-			sub.DecisionSeries = pickSeries(sc.DecisionSeries, clusters)
-		}
-		if sc.Carbon != nil {
-			sub.Carbon = pickSeries(sc.Carbon, clusters)
-		}
+		sub.SoftCaps = pick(sc.SoftCaps, clusters)
+		sub.DecisionSeries = pick(sc.DecisionSeries, clusters)
+		sub.Carbon = pick(sc.Carbon, clusters)
 		if sc.Storage != nil {
 			cfg := *sc.Storage
-			cfg.Batteries = make([]storage.Battery, len(clusters))
-			for j, c := range clusters {
-				cfg.Batteries[j] = sc.Storage.Batteries[c]
-			}
+			cfg.Batteries = pick(sc.Storage.Batteries, clusters)
 			cfg.Policy = wrapStoragePolicy(sc.Storage.Policy, clusters)
 			sub.Storage = &cfg
 		}
 		if sc.Batch != nil {
 			cfg := *sc.Batch
-			cfg.MaxBatchKW = pickFloats(sc.Batch.MaxBatchKW, clusters)
-			cfg.Thresholds = pickFloats(sc.Batch.Thresholds, clusters)
+			cfg.MaxBatchKW = pick(sc.Batch.MaxBatchKW, clusters)
+			cfg.Thresholds = pick(sc.Batch.Thresholds, clusters)
 			// Keep each job with its home cluster, remapped to the shard's
 			// local index; arrival order is preserved. Routing closure
 			// guarantees the job's whole migration component came along.
@@ -234,8 +221,8 @@ func (sc Scenario) Shard(p ShardPartition) ([]Scenario, error) {
 			sub.Batch = &cfg
 		}
 		sub.shardOf = parentHash
-		sub.shardClusters = append([]int(nil), clusters...)
-		sub.shardStates = append([]int(nil), states...)
+		sub.shardClusters = clone(clusters)
+		sub.shardStates = clone(states)
 		subs[i] = sub
 	}
 	return subs, nil
@@ -266,16 +253,13 @@ func assignOnce(groups [][]int, dst []int, kind string) error {
 	return nil
 }
 
-func pickFloats(src []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = src[j]
+// pick selects src's entries at idx, in idx order. A nil src (a
+// per-cluster setting the scenario leaves unconfigured) stays nil.
+func pick[T any](src []T, idx []int) []T {
+	if src == nil {
+		return nil
 	}
-	return out
-}
-
-func pickSeries(src []*timeseries.Series, idx []int) []*timeseries.Series {
-	out := make([]*timeseries.Series, len(idx))
+	out := make([]T, len(idx))
 	for i, j := range idx {
 		out[i] = src[j]
 	}
@@ -356,10 +340,13 @@ var ErrShardCursorMismatch = errors.New("shards must pause at the same cursor")
 // world's checkpoint. Every part must be a shard checkpoint of the same
 // parent world (identical ShardOf hash — the shard-compatibility guard),
 // at the same step cursor, with disjoint cluster and state positions that
-// together cover the parent fleet exactly. Per-structure combine rules:
-// per-cluster state (meter samples, burst budgets, burst lease ledgers,
-// monthly demand peaks, battery snapshots, running
-// cost/energy/overload/storage/carbon sums, last-interval rates,
+// together cover the parent fleet exactly, and every part must carry the
+// same optional components, each whole (a section without the Totals
+// ledgers that belong to it is rejected, naming the component).
+// Per-structure combine rules: each component's per-cluster state (meter
+// samples, burst budgets, burst lease ledgers, monthly demand peaks,
+// battery snapshots, batch queues, running
+// cost/energy/overload/storage/batch/carbon sums, last-interval rates,
 // distance histograms) scatters into its fleet position — disjoint
 // across shards, so no arithmetic happens at all — and the assignment
 // matrix scatters by state row and cluster column. Distance histograms
@@ -381,7 +368,10 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 	if first.ShardOf == "" {
 		return nil, errors.New("sim: checkpoint 0 is not a shard checkpoint (no parent world hash)")
 	}
-	firstHas := optionalSections(first)
+	firstHas := make([]bool, len(components))
+	for x, k := range components {
+		firstHas[x] = !k.optional || k.sizes(first)[0] > 0
+	}
 	nc, ns := 0, 0
 	for i, cp := range parts {
 		if cp == nil {
@@ -409,9 +399,9 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 			return nil, fmt.Errorf("sim: checkpoint %d shard identity covers %d/%d clusters and %d/%d states",
 				i, len(cp.ClusterIndex), cp.Clusters, len(cp.StateIndex), cp.States)
 		}
-		for j, sec := range optionalSections(cp) {
-			if (sec.n > 0) != (firstHas[j].n > 0) {
-				return nil, fmt.Errorf("sim: checkpoint %d carries %s but checkpoint 0 does not (or vice versa)", i, sec.name)
+		for x, k := range components {
+			if k.optional && (k.sizes(cp)[0] > 0) != firstHas[x] {
+				return nil, fmt.Errorf("sim: checkpoint %d carries %s but checkpoint 0 does not (or vice versa)", i, k.names[0])
 			}
 		}
 		if err := checkShardVectors(cp); err != nil {
@@ -434,40 +424,7 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 		StateCodes:    make([]string, ns),
 		StepsRun:      first.StepsRun,
 		LastAt:        first.LastAt,
-		Totals: Totals{
-			ClusterCost:        make([]units.Money, nc),
-			ClusterEnergy:      make([]units.Energy, nc),
-			PeakRate:           make([]float64, nc),
-			MeanUtilizationSum: make([]float64, nc),
-			OverloadSec:        make([]float64, nc),
-		},
-		MeterSamples: make([][]float64, nc),
-		Loads:        make([]float64, nc),
-		DistHists:    make([]*stats.WeightedHistogram, nc),
-		Assign:       make([][]float64, ns),
-	}
-	if len(first.Constraints) > 0 {
-		m.Constraints = make([]billing.ConstraintState, nc)
-	}
-	if len(first.BurstLeases) > 0 {
-		m.BurstLeases = make([]billing.LeaseLedgerState, nc)
-	}
-	if len(first.Batteries) > 0 {
-		m.Batteries = make([]storage.Snapshot, nc)
-		m.Totals.StorageBoughtKWh = make([]float64, nc)
-		m.Totals.StorageServedKWh = make([]float64, nc)
-	}
-	if len(first.DemandMeters) > 0 {
-		m.DemandMeters = make([]billing.DemandMeterState, nc)
-	}
-	if len(first.Totals.ClusterCarbonKg) > 0 {
-		m.Totals.ClusterCarbonKg = make([]float64, nc)
-	}
-	if len(first.BatchQueues) > 0 {
-		m.BatchQueues = make([]sched.QueueState, nc)
-		m.Totals.BatchServedKWh = make([]float64, nc)
-		m.Totals.BatchShedKWh = make([]float64, nc)
-		m.Totals.BatchDeferredKWh = make([]float64, nc)
+		Assign:        make([][]float64, ns),
 	}
 
 	seenCluster := make([]bool, nc)
@@ -479,39 +436,13 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 			}
 			seenCluster[c] = true
 			m.ClusterCodes[c] = cp.ClusterCodes[j]
-			m.Totals.ClusterCost[c] = cp.Totals.ClusterCost[j]
-			m.Totals.ClusterEnergy[c] = cp.Totals.ClusterEnergy[j]
-			m.Totals.PeakRate[c] = cp.Totals.PeakRate[j]
-			m.Totals.MeanUtilizationSum[c] = cp.Totals.MeanUtilizationSum[j]
-			m.Totals.OverloadSec[c] = cp.Totals.OverloadSec[j]
-			m.MeterSamples[c] = append([]float64(nil), cp.MeterSamples[j]...)
-			m.Loads[c] = cp.Loads[j]
-			if m.Constraints != nil {
-				m.Constraints[c] = cp.Constraints[j]
-			}
-			if m.BurstLeases != nil {
-				m.BurstLeases[c] = cp.BurstLeases[j]
-			}
 			if cp.DistHists[j] == nil {
 				return nil, fmt.Errorf("sim: checkpoint %d missing cluster %d distance histogram", i, j)
 			}
-			m.DistHists[c] = cp.DistHists[j].Clone()
-			if m.Batteries != nil {
-				m.Batteries[c] = cp.Batteries[j]
-				m.Totals.StorageBoughtKWh[c] = cp.Totals.StorageBoughtKWh[j]
-				m.Totals.StorageServedKWh[c] = cp.Totals.StorageServedKWh[j]
-			}
-			if m.DemandMeters != nil {
-				m.DemandMeters[c] = cloneDemandMeterState(cp.DemandMeters[j])
-			}
-			if m.Totals.ClusterCarbonKg != nil {
-				m.Totals.ClusterCarbonKg[c] = cp.Totals.ClusterCarbonKg[j]
-			}
-			if m.BatchQueues != nil {
-				m.BatchQueues[c] = sched.QueueState{Jobs: append([]sched.QueuedJob(nil), cp.BatchQueues[j].Jobs...)}
-				m.Totals.BatchServedKWh[c] = cp.Totals.BatchServedKWh[j]
-				m.Totals.BatchShedKWh[c] = cp.Totals.BatchShedKWh[j]
-				m.Totals.BatchDeferredKWh[c] = cp.Totals.BatchDeferredKWh[j]
+			for x, k := range components {
+				if firstHas[x] {
+					k.MergeCheckpoints(m, cp, j, c)
+				}
 			}
 		}
 		for sj, s := range cp.StateIndex {
@@ -530,35 +461,14 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 	return m, nil
 }
 
-// optionalSections lists the optional per-cluster sections and their
-// lengths, in the fixed order validation reports them; a section is
-// carried when its length is non-zero, and every part of a merge must
-// carry the same set.
-func optionalSections(cp *Checkpoint) []section {
-	return []section{
-		{"95/5 constraint state", len(cp.Constraints)},
-		{"burst lease ledgers", len(cp.BurstLeases)},
-		{"battery snapshots", len(cp.Batteries)},
-		{"demand meters", len(cp.DemandMeters)},
-		{"carbon ledgers", len(cp.Totals.ClusterCarbonKg)},
-		{"storage total ledgers", len(cp.Totals.StorageBoughtKWh)},
-		{"storage served ledgers", len(cp.Totals.StorageServedKWh)},
-		{"batch queues", len(cp.BatchQueues)},
-		{"batch served ledgers", len(cp.Totals.BatchServedKWh)},
-		{"batch shed ledgers", len(cp.Totals.BatchShedKWh)},
-		{"batch deferral ledgers", len(cp.Totals.BatchDeferredKWh)},
-	}
-}
-
 // checkShardVectors verifies a shard checkpoint's per-cluster and
 // per-state vectors match its declared geometry before the merge indexes
-// into them.
+// into them: mandatory sections first, then the assignment matrix, then
+// the optional components.
 func checkShardVectors(cp *Checkpoint) error {
 	nc, ns := cp.Clusters, cp.States
-	for _, sec := range perClusterSections(cp) {
-		if sec.n != nc {
-			return fmt.Errorf("%d %s for %d clusters", sec.n, sec.name, nc)
-		}
+	if err := checkSizes(cp, nc, false); err != nil {
+		return err
 	}
 	if len(cp.Assign) != ns {
 		return fmt.Errorf("assignment matrix has %d rows for %d states", len(cp.Assign), ns)
@@ -568,23 +478,7 @@ func checkShardVectors(cp *Checkpoint) error {
 			return fmt.Errorf("assignment row %d has %d clusters, want %d", s, len(row), nc)
 		}
 	}
-	for _, n := range []int{len(cp.Constraints), len(cp.BurstLeases), len(cp.Batteries), len(cp.DemandMeters),
-		len(cp.Totals.ClusterCarbonKg), len(cp.Totals.StorageBoughtKWh), len(cp.Totals.StorageServedKWh),
-		len(cp.BatchQueues), len(cp.Totals.BatchServedKWh), len(cp.Totals.BatchShedKWh), len(cp.Totals.BatchDeferredKWh)} {
-		if n != 0 && n != nc {
-			return fmt.Errorf("optional per-cluster section sized %d for %d clusters", n, nc)
-		}
-	}
-	return nil
-}
-
-// cloneDemandMeterState deep-copies a demand meter's month/peak record so
-// the merged checkpoint shares no slices with its parts.
-func cloneDemandMeterState(s billing.DemandMeterState) billing.DemandMeterState {
-	return billing.DemandMeterState{
-		Months: append([]timeseries.MonthKey(nil), s.Months...),
-		Peaks:  append([]float64(nil), s.Peaks...),
-	}
+	return checkSizes(cp, nc, true)
 }
 
 // SortPartition orders each shard's members ascending, in place — the

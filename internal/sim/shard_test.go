@@ -195,8 +195,8 @@ func TestShardMergeMatchesJointRun(t *testing.T) {
 // structure through a split-and-merge: 95/5 constraints with caps
 // generous enough that the burst gate never fires (the active-gate case
 // has its own test, TestShardMergeActiveBursts), batteries with a
-// routing-aware percentile dispatch plus a demand-charge tariff, and a
-// carbon ledger.
+// routing-aware percentile dispatch plus a demand-charge tariff, a
+// carbon ledger, and the deferrable batch class with migration.
 func TestShardMergePerStructure(t *testing.T) {
 	fx := fixtures()
 	newScenario := func(t *testing.T) Scenario {
@@ -245,6 +245,12 @@ func TestShardMergePerStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc.Carbon = intensity
+		runSplitMerge(t, sc)
+	})
+
+	t.Run("batch", func(t *testing.T) {
+		sc := newScenario(t)
+		sc.Batch = batchTestConfig(t, sc)
 		runSplitMerge(t, sc)
 	})
 }
@@ -773,5 +779,84 @@ func TestMergeCheckpointsRejectsIncompatibleParts(t *testing.T) {
 	// fleet, so the merge itself refuses.
 	if _, err := MergeCheckpoints(parts[:1]); err == nil {
 		t.Error("partial merge accepted")
+	}
+}
+
+// allSectionsScenario is the 45-day, 3-shard long run with every optional
+// per-cluster section switched on: generous 95/5 caps, batteries under a
+// routing-aware percentile dispatch, a demand-charge tariff, a carbon
+// ledger, and the migrating batch class.
+func allSectionsScenario(t testing.TB) Scenario {
+	t.Helper()
+	fx := fixtures()
+	sc := longRunScenario(t, 600)
+	sc.Steps = 45 * 24
+	caps := make([]float64, len(fx.Fleet.Clusters))
+	rts := make([]*timeseries.Series, len(fx.Fleet.Clusters))
+	for c, cl := range fx.Fleet.Clusters {
+		caps[c] = 2 * float64(cl.Capacity)
+		rt, err := sc.Market.RT(cl.HubID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts[c] = rt
+	}
+	sc.SoftCaps = caps
+	dispatch, err := storage.NewPercentile(rts, 0.25, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Storage = &storage.Config{Batteries: uniformBatteries(len(caps)), Policy: dispatch, RoutingAware: true}
+	sc.DemandChargePerKW = 4
+	intensity, err := carbon.FleetSeries(3, fx.Fleet, fx.Market.Start, fx.Market.Hours)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Carbon = intensity
+	sc.Batch = batchTestConfig(t, sc)
+	return sc
+}
+
+// partialComponents strip a component's Totals ledgers while leaving its
+// per-cluster section in place, keyed by the component's name.
+var partialComponents = map[string]func(*Checkpoint){
+	"battery snapshots": func(cp *Checkpoint) {
+		cp.Totals.StorageBoughtKWh, cp.Totals.StorageServedKWh = nil, nil
+	},
+	"batch queues": func(cp *Checkpoint) {
+		cp.Totals.BatchServedKWh, cp.Totals.BatchShedKWh, cp.Totals.BatchDeferredKWh = nil, nil, nil
+	},
+}
+
+// TestMergeRejectsPartialComponent: shard responses carrying a
+// component's section without the ledgers that belong to it (batteries
+// without storage totals, batch queues without batch ledgers) decode, and
+// then must be refused by the merge with an error naming the component —
+// the coordinator merges decoded shard responses directly, so a malformed
+// response must not panic it.
+func TestMergeRejectsPartialComponent(t *testing.T) {
+	engines, _ := shardEngines(t, allSectionsScenario(t), 24)
+	for name, strip := range partialComponents {
+		t.Run(name, func(t *testing.T) {
+			parts := make([]*Checkpoint, len(engines))
+			for i, eng := range engines {
+				cp, err := eng.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				strip(cp)
+				var buf bytes.Buffer
+				if err := cp.Encode(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if parts[i], err = DecodeCheckpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := MergeCheckpoints(parts)
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("partial %s merged: %v", name, err)
+			}
+		})
 	}
 }
