@@ -67,9 +67,10 @@ func (m *Meter) Samples() []float64 {
 }
 
 // RestoreSamples replaces the meter's record with a copy of samples (the
-// restore path).
+// restore path). The copy goes into the capacity already reserved;
+// nothing else holds the meter's buffer, since Samples returns a copy.
 func (m *Meter) RestoreSamples(samples []float64) {
-	m.samples = append(m.samples[:0:0], samples...)
+	m.samples = append(m.samples[:0], samples...)
 }
 
 // Peak returns the maximum recorded rate.

@@ -73,11 +73,15 @@ type shardInfo struct {
 // Coordinator fans ingest out to shards and merges their state back into
 // fleet-wide views.
 type Coordinator struct {
-	sc        sim.Scenario
-	fleet     *cluster.Fleet
-	worldHash string
-	client    *http.Client
-	shards    []shardInfo
+	sc    sim.Scenario
+	fleet *cluster.Fleet
+	// base is an engine of the joint world that never steps: every read
+	// restores the merged shard checkpoint through base.Restore, which
+	// reuses its world hash instead of hashing the world again. New
+	// computes the hash, so concurrent refreshes only ever read it.
+	base   *sim.Engine
+	client *http.Client
+	shards []shardInfo
 
 	// Burst-token broker state, armed when the joint world runs a
 	// coordinated burst gate: room is the fleet's soft-capped total (a
@@ -102,10 +106,11 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if len(cfg.ShardURLs) == 0 {
 		return nil, errors.New("coord: no shard URLs")
 	}
-	hash, err := cfg.Scenario.WorldHash()
+	base, err := sim.NewEngine(cfg.Scenario)
 	if err != nil {
 		return nil, fmt.Errorf("coord: joint world: %w", err)
 	}
+	base.WorldHash() // hash once, here: concurrent refreshes must only read it
 	// Fail fast on a shard-count/partition mismatch: the routing partition
 	// is a pure function of the joint world, so a wrong URL count can be
 	// rejected before any shard is contacted.
@@ -120,11 +125,11 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		client = &http.Client{Timeout: 5 * time.Minute}
 	}
 	co := &Coordinator{
-		sc:        cfg.Scenario,
-		fleet:     cfg.Scenario.Fleet,
-		worldHash: hash,
-		client:    client,
-		requests:  make(map[string]uint64),
+		sc:       cfg.Scenario,
+		fleet:    cfg.Scenario.Fleet,
+		base:     base,
+		client:   client,
+		requests: make(map[string]uint64),
 	}
 	if cfg.Scenario.BurstGate != nil {
 		room, err := sim.BurstRoomTotal(cfg.Scenario.Fleet, cfg.Scenario.SoftCaps)
@@ -247,7 +252,7 @@ func (co *Coordinator) Shards() []string {
 }
 
 // WorldHash returns the joint world's hash.
-func (co *Coordinator) WorldHash() string { return co.worldHash }
+func (co *Coordinator) WorldHash() string { return co.base.WorldHash() }
 
 // Handler returns the coordinator's HTTP routes.
 func (co *Coordinator) Handler() http.Handler {
@@ -597,8 +602,8 @@ func (co *Coordinator) pullMerge(ctx context.Context) (*sim.Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if merged.WorldHash != co.worldHash {
-		return nil, fmt.Errorf("coord: shards belong to world %s, coordinator runs %s (flag mismatch?)", merged.WorldHash, co.worldHash)
+	if want := co.base.WorldHash(); merged.WorldHash != want {
+		return nil, fmt.Errorf("coord: shards belong to world %s, coordinator runs %s (flag mismatch?)", merged.WorldHash, want)
 	}
 	return merged, nil
 }
@@ -629,14 +634,14 @@ func (co *Coordinator) pullMergeSettled(ctx context.Context) (*sim.Checkpoint, e
 	return nil, err
 }
 
-// refresh pulls, merges, restores into a joint engine, and caches the
-// fleet-wide snapshot.
+// refresh pulls, merges, restores into a joint engine built from the
+// base engine, and caches the fleet-wide snapshot.
 func (co *Coordinator) refresh(ctx context.Context) (*sim.Snapshot, error) {
 	merged, err := co.pullMergeSettled(ctx)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := sim.Restore(co.sc, merged)
+	eng, err := co.base.Restore(merged)
 	if err != nil {
 		return nil, err
 	}
@@ -728,7 +733,7 @@ func (co *Coordinator) handleWorld(w http.ResponseWriter, r *http.Request) {
 		"start":                  co.sc.Start,
 		"step_seconds":           co.sc.Step.Seconds(),
 		"reaction_delay_seconds": co.sc.ReactionDelay.Seconds(),
-		"world_hash":             co.worldHash,
+		"world_hash":             co.base.WorldHash(),
 		"shards":                 co.Shards(),
 		"lease_broker":           co.broker,
 		"clusters":               clusters,

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -451,6 +452,91 @@ func TestCoordinatorDegradedReads(t *testing.T) {
 	out := postBody(t, coordTS.URL+"/v1/demand", "application/json", body, http.StatusBadGateway)
 	if !strings.Contains(string(out), "unreachable") {
 		t.Fatalf("demand fan-out error does not tag the unreachable shard: %s", out)
+	}
+}
+
+// TestCoordinatorConcurrentRefreshes: forced status reads from several
+// clients, beside a background merge loop, all restore from the one base
+// engine at once — the first of them included, so nothing has touched the
+// base engine before. Under -race this pins that the shared engine is
+// only read; every read must serve the same fleet-wide status,
+// undegraded.
+func TestCoordinatorConcurrentRefreshes(t *testing.T) {
+	sys, sc := testWorld(t)
+	urls := newShards(t, sc)
+	co, coordTS := newCoordinator(t, sc, urls)
+	const hours = 48
+	feedWorld(t, sys, sc, coordTS.URL, hours)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		co.Run(ctx, time.Millisecond, testErrWriter{t, ctx})
+	}()
+	defer func() {
+		cancel()
+		<-runDone
+	}()
+
+	const readers, reads = 4, 5
+	bodies := make([][]byte, readers*reads)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < reads; j++ {
+				resp, err := http.Get(coordTS.URL + "/v1/status?refresh=1")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Coord-Degraded") != "" {
+					t.Errorf("status read: code %d, degraded %q: %s", resp.StatusCode, resp.Header.Get("X-Coord-Degraded"), body)
+					return
+				}
+				bodies[i*reads+j] = body
+			}
+		}()
+	}
+	wg.Wait()
+	want := get(t, coordTS.URL+"/v1/status?refresh=1", http.StatusOK)
+	for _, body := range bodies {
+		if body != nil && !bytes.Equal(body, want) {
+			t.Fatalf("concurrent status read differs:\ngot  %s\nwant %s", body, want)
+		}
+	}
+}
+
+// testErrWriter stands in for the background merge loop's error log: it
+// fails the test with anything written before ctx ends. A merge cut off
+// by the cancellation itself logs the cancellation, which is expected.
+type testErrWriter struct {
+	t   *testing.T
+	ctx context.Context
+}
+
+func (w testErrWriter) Write(p []byte) (int, error) {
+	if w.ctx.Err() == nil {
+		w.t.Errorf("background merge: %s", bytes.TrimSpace(p))
+	}
+	return len(p), nil
+}
+
+// TestCoordinatorRejectsUnbuildableWorld: a joint world the engine
+// refuses (here a negative soft cap, which only engine construction
+// checks) fails New at startup, before any shard is contacted, instead
+// of failing every later status read.
+func TestCoordinatorRejectsUnbuildableWorld(t *testing.T) {
+	_, sc := testWorld(t)
+	sc.SoftCaps = make([]float64, len(sc.Fleet.Clusters))
+	sc.SoftCaps[0] = -1
+	_, err := New(context.Background(), Config{Scenario: sc, ShardURLs: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}})
+	if err == nil || !strings.Contains(err.Error(), "negative cap") {
+		t.Fatalf("New with an unbuildable joint world: got %v, want a negative-cap error", err)
 	}
 }
 

@@ -54,7 +54,7 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	eng, err := sim.Restore(s.eng.Scenario(), cp)
+	eng, err := s.eng.Restore(cp)
 	if err != nil {
 		httpError(w, http.StatusConflict, "%v", err)
 		return

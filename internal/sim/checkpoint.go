@@ -225,12 +225,32 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 // into it, resuming the run mid-horizon. The scenario must describe the
 // exact world the checkpoint came from: the world hash (fleet, price
 // series, policy, tariffs, storage config) and every configuration echo
-// are verified before any state is applied.
+// are verified before any state is applied. Restore hashes the whole
+// world; a caller that restores the same world repeatedly should keep an
+// engine of it and use Engine.Restore.
 func Restore(sc Scenario, cp *Checkpoint) (*Engine, error) {
+	return restore(sc, "", cp)
+}
+
+// Restore builds a fresh engine for e's scenario and loads cp into it,
+// exactly like the package Restore, except that the new engine inherits
+// e's world hash instead of hashing the world again. The checkpoint is
+// still checked against that hash, so a foreign checkpoint is refused.
+// e is only read, except that its hash is computed on first use: call
+// e.WorldHash once before restoring from several goroutines.
+func (e *Engine) Restore(cp *Checkpoint) (*Engine, error) {
+	return restore(e.sc, e.WorldHash(), cp)
+}
+
+// restore is the one body of both Restore entry points. worldHash is the
+// scenario's digest when the caller already knows it, or "" to let
+// loadCheckpoint compute it.
+func restore(sc Scenario, worldHash string, cp *Checkpoint) (*Engine, error) {
 	eng, err := NewEngine(sc)
 	if err != nil {
 		return nil, err
 	}
+	eng.worldHash = worldHash
 	if err := eng.loadCheckpoint(cp); err != nil {
 		return nil, fmt.Errorf("sim: restore: %w", err)
 	}
@@ -405,10 +425,20 @@ func worldHash(sc *Scenario, prices []*timeseries.Series) string {
 				math.Float64bits(j.EnergyKWh), math.Float64bits(j.MinFraction))
 		}
 	}
+	// Series values are hashed as little-endian float64 bits, streamed
+	// through one small buffer rather than copied whole.
+	var buf [4096]byte
 	hashSeries := func(label string, series []*timeseries.Series) {
 		for i, s := range series {
 			fmt.Fprintf(h, "%s %d start=%d step=%d n=%d\n", label, i, s.Start.UnixNano(), int64(s.Step), len(s.Values))
-			_ = binary.Write(h, binary.LittleEndian, s.Values)
+			for vs := s.Values; len(vs) > 0; {
+				n := min(len(vs), len(buf)/8)
+				for j, v := range vs[:n] {
+					binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
+				}
+				h.Write(buf[:8*n])
+				vs = vs[n:]
+			}
 		}
 	}
 	hashSeries("rt", prices)

@@ -226,6 +226,44 @@ func TestDecodeRejectsOverflowingSampleCounts(t *testing.T) {
 	}
 }
 
+// TestEngineRestoreMatchesPackageRestore: restoring through an engine of
+// the world, which hands the new engine its cached world hash, must give
+// exactly what the package Restore gives for every scenario — the same
+// restored state and the same world hash.
+func TestEngineRestoreMatchesPackageRestore(t *testing.T) {
+	for name, sc := range engineScenarios(t) {
+		t.Run(name, func(t *testing.T) {
+			_, cp := checkpointAt(t, clonePolicy(t, sc), sc.Steps/2)
+			want, err := Restore(clonePolicy(t, sc), cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := NewEngine(clonePolicy(t, sc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := base.Restore(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCP, err := want.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotCP, err := got.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotCP, wantCP) {
+				t.Fatal("Engine.Restore state differs from the package Restore's")
+			}
+			if got.WorldHash() != want.WorldHash() {
+				t.Fatalf("world hash %s, package Restore gives %s", got.WorldHash(), want.WorldHash())
+			}
+		})
+	}
+}
+
 // TestRestoreRefusesForeignWorlds: a checkpoint must only load into the
 // exact world that produced it — different reaction delay (world hash),
 // different policy, or a tampered step cursor are all refused.
@@ -242,6 +280,18 @@ func TestRestoreRefusesForeignWorlds(t *testing.T) {
 		t.Error("restore accepted a checkpoint from a different reaction delay")
 	} else if !strings.Contains(err.Error(), "world hash mismatch") {
 		t.Errorf("wrong error for world mismatch: %v", err)
+	}
+
+	// Restoring through an engine of the delayed world reuses that
+	// engine's hash, and still refuses the foreign checkpoint.
+	base, err := NewEngine(clonePolicy(t, delayed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := base.Restore(cp); err == nil {
+		t.Error("Engine.Restore accepted a checkpoint from a different reaction delay")
+	} else if !strings.Contains(err.Error(), "world hash mismatch") {
+		t.Errorf("wrong Engine.Restore error for world mismatch: %v", err)
 	}
 
 	// Different policy name fails on the configuration echo.
@@ -299,16 +349,15 @@ func TestWriteCheckpointFileAtomic(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpoint39Month measures the encode+decode cycle of a
-// full-horizon engine state (the acceptance budget is < 100 ms for the
-// 39-month world).
-func BenchmarkCheckpoint39Month(b *testing.B) {
+// world39Month is the full 39-month hourly world under the price
+// optimizer, the world the checkpoint benchmarks run on.
+func world39Month(b *testing.B) Scenario {
 	fx := fixtures()
 	opt, err := routing.NewPriceOptimizer(fx.Fleet, 1500, routing.DefaultPriceThreshold)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := Scenario{
+	return Scenario{
 		Fleet:         fx.Fleet,
 		Policy:        opt,
 		Energy:        energy.OptimisticFuture,
@@ -319,6 +368,13 @@ func BenchmarkCheckpoint39Month(b *testing.B) {
 		Step:          time.Hour,
 		ReactionDelay: DefaultReactionDelay,
 	}
+}
+
+// BenchmarkCheckpoint39Month measures the encode+decode cycle of a
+// full-horizon engine state (the acceptance budget is < 100 ms for the
+// 39-month world).
+func BenchmarkCheckpoint39Month(b *testing.B) {
+	sc := world39Month(b)
 	eng, err := NewEngine(sc)
 	if err != nil {
 		b.Fatal(err)
@@ -340,4 +396,34 @@ func BenchmarkCheckpoint39Month(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(buf.Len()), "checkpoint-bytes")
+}
+
+// BenchmarkRestore39Month restores a 300-step checkpoint of the 39-month
+// world, the coordinator's per-read restore. "package" is sim.Restore,
+// which hashes the world's price history on every call; "engine" is
+// Engine.Restore on an engine of the world, which reuses its hash.
+func BenchmarkRestore39Month(b *testing.B) {
+	sc := world39Month(b)
+	_, cp := checkpointAt(b, sc, 300)
+	base, err := NewEngine(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base.WorldHash()
+	for _, bc := range []struct {
+		name    string
+		restore func() (*Engine, error)
+	}{
+		{"package", func() (*Engine, error) { return Restore(sc, cp) }},
+		{"engine", func() (*Engine, error) { return base.Restore(cp) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.restore(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

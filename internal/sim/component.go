@@ -222,10 +222,9 @@ func (meterSamples) Checkpoint(e *Engine, p *Checkpoint) {
 }
 func (meterSamples) loadCheckpoint(e *Engine, p *Checkpoint) error {
 	for c := range e.meters {
+		// RestoreSamples copies into the horizon NewEngine reserved, so
+		// the remaining steps record without reallocating.
 		e.meters[c].RestoreSamples(p.MeterSamples[c])
-		// RestoreSamples copies at exact capacity; re-reserve the horizon
-		// so the remaining steps record without reallocating.
-		e.meters[c].Reserve(e.sc.Steps)
 	}
 	return nil
 }

@@ -127,8 +127,9 @@ type Engine struct {
 	lastAt    time.Time
 	finalized bool
 
-	// worldHash is computed lazily by WorldHash (checkpoint.go) and cached;
-	// the step hot path never reads it.
+	// worldHash is computed lazily by WorldHash (checkpoint.go) and cached,
+	// or inherited from the engine whose Restore built this one; the step
+	// hot path never reads it.
 	worldHash string
 }
 
